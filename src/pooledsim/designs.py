@@ -278,29 +278,22 @@ def generate_doubly_regular(spec: DesignSpec, rng: np.random.Generator) -> Pooli
 
     The m * gamma query-side stubs are matched positionally against a uniformly
     shuffled array of agent-side stubs (a Fisher-Yates shuffle, hence uniform
-    over matchings).  Without ``allow_multi`` the matching is post-processed by
-    :func:`simplify`, which may raise :class:`SimplificationError`.
+    over matchings).  Slots are laid out query-major: slot ``i`` belongs to
+    query ``i // gamma``, so the shuffled stubs reshape into the ``(m, gamma)``
+    member matrix of the queries.  Without ``allow_multi`` that matrix is
+    repaired row by row with double-edge swaps (see :func:`simplify`), which
+    may raise :class:`SimplificationError`.
     """
     if spec.family != "doubly_regular":
         raise ValueError(f"spec family is {spec.family!r}, expected 'doubly_regular'")
     degrees = degree_sequence(spec.n, spec.m, spec.gamma, rng).degrees
     agent_stubs = np.repeat(np.arange(spec.n, dtype=np.int64), degrees)
-    agent_stubs = rng.permutation(agent_stubs)
-    slot_queries = np.repeat(np.arange(spec.m, dtype=np.int64), spec.gamma)
+    members = rng.permutation(agent_stubs).reshape(spec.m, spec.gamma)
+    del agent_stubs
     if not spec.allow_multi:
-        agent_stubs = _repair_slots(agent_stubs, slot_queries, spec.n, spec.m, rng)
-    return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, agent_stubs, slot_queries)
-
-
-def _multiset_counts(base_sorted: np.ndarray, delta: dict[int, int], keys: np.ndarray) -> np.ndarray:
-    """Current multiplicity of each key: static sorted snapshot plus overlay."""
-    left = np.searchsorted(base_sorted, keys, side="left")
-    right = np.searchsorted(base_sorted, keys, side="right")
-    counts = (right - left).astype(np.int64)
-    if delta:
-        adj = np.fromiter((delta.get(int(k), 0) for k in keys), dtype=np.int64, count=keys.size)
-        counts += adj
-    return counts
+        members = _repair_slots(members, spec.n, rng)
+    slot_queries = np.repeat(np.arange(spec.m, dtype=np.int64), spec.gamma)
+    return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, members.ravel(), slot_queries)
 
 
 def simplify(graph: PoolingGraph, rng: np.random.Generator) -> PoolingGraph:
@@ -313,44 +306,86 @@ def simplify(graph: PoolingGraph, rng: np.random.Generator) -> PoolingGraph:
     and retried, which preserves the per-swap validity rule.  Both degree
     vectors are invariant under every swap.  Raises SimplificationError after
     100 * |E| attempted swaps.
+
+    The edge instances are regrouped query-major into an ``(m, gamma)``
+    member matrix, with each query's agents in ascending order, and repaired
+    by the same row-wise routine as :func:`generate_doubly_regular`.
+    Duplicates can only occur inside a row, so they are found by sorting each
+    row.  The matrix needs every query to have the same degree; a non-simple
+    graph whose query degrees differ raises ValueError.
     """
     if graph.is_simple:
         return graph
+    degrees = graph.query_degrees
+    if int(degrees.min()) != int(degrees.max()):
+        raise ValueError(
+            f"swap repair needs equal query degrees, got degrees from {int(degrees.min())} "
+            f"to {int(degrees.max())}"
+        )
     slot_agent, slot_query = graph.expanded()
-    repaired = _repair_slots(slot_agent, slot_query, graph.n_agents, graph.n_queries, rng)
+    members = slot_agent[np.argsort(slot_query, kind="stable")]
+    members = members.reshape(graph.n_queries, int(degrees[0]))
+    repaired = _repair_slots(members, graph.n_agents, rng)
     return PoolingGraph.from_pairs(
-        graph.n_agents, graph.n_queries, graph.gamma, repaired, slot_query
+        graph.n_agents, graph.n_queries, graph.gamma, repaired.ravel(), np.sort(slot_query)
     )
 
 
+def _pair_counts(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Multiplicity of each ``query * n + agent`` key in the sorted index.
+
+    Probing in sorted order keeps ``searchsorted`` cache-friendly.
+    """
+    order = np.argsort(keys)
+    probes = keys[order]
+    counts = np.empty(keys.size, dtype=np.int64)
+    counts[order] = np.searchsorted(index, probes, side="right") - np.searchsorted(
+        index, probes, side="left"
+    )
+    return counts
+
+
 def _repair_slots(
-    slot_agent: np.ndarray,
-    slot_query: np.ndarray,
-    n_agents: int,
-    n_queries: int,
-    rng: np.random.Generator,
+    members: np.ndarray, n_agents: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Swap-repair core on edge-instance arrays; returns the new agent column."""
-    if int(np.bincount(slot_query, minlength=n_queries).max(initial=0)) > n_agents:
+    """Swap-repair core on an ``(m, gamma)`` member matrix, in place; returns it.
+
+    ``members`` must be a C-contiguous int64 array.  Flat slot ``i`` is query
+    ``i // gamma``.  Surplus copies are the repeats of an agent within a row
+    after the first in slot order, and they are repaired in
+    ``(agent * m + query, slot)`` order.  Membership of a pair is looked up in
+    ``index``, the rows of ``query * n + agent`` keys kept sorted, which
+    flattened is one globally sorted array.
+    """
+    n_queries, gamma = members.shape
+    if gamma > n_agents:
         raise ValueError("a query with more edges than agents cannot be made simple")
-    if int(np.bincount(slot_agent, minlength=n_agents).max(initial=0)) > n_queries:
+    if int(np.bincount(members.ravel(), minlength=n_agents).max(initial=0)) > n_queries:
         raise ValueError("an agent with more edges than queries cannot be made simple")
 
-    slot_agent = slot_agent.copy()
-    total = slot_agent.size
+    agents = members.reshape(-1)  # a view: swaps write through to members
+    total = agents.size
     m = np.int64(n_queries)
+    n = np.int64(n_agents)
     budget = _MAX_SWAP_FACTOR * total
     attempts = 0
+    row_keys = (np.arange(n_queries, dtype=np.int64) * n)[:, None]
 
-    keys = slot_agent * m + slot_query
-    order = np.argsort(keys, kind="stable")
-    base_sorted = keys[order]
-    delta: dict[int, int] = {}
+    # Sorting agent * gamma + column sorts each row by agent, ties by slot.
+    by_agent = members * gamma
+    by_agent += np.arange(gamma)
+    by_agent.sort(axis=1)
+    index = by_agent // gamma
+    index += row_keys
+    flat_index = index.reshape(-1)
 
     # One repair slot per surplus copy of each duplicated pair.
-    dup = np.zeros(total, dtype=bool)
-    dup[1:] = base_sorted[1:] == base_sorted[:-1]
-    pending = order[dup]
+    rows, cols = np.nonzero(index[:, 1:] == index[:, :-1])
+    cols += 1
+    dup_slots = rows * gamma + by_agent[rows, cols] % gamma
+    dup_keys = (index[rows, cols] - rows * n) * m + rows
+    del by_agent
+    pending = dup_slots[np.lexsort((dup_slots, dup_keys))]
 
     while pending.size:
         if attempts >= budget:
@@ -359,16 +394,16 @@ def _repair_slots(
             )
         attempts += pending.size
         partners = rng.integers(0, total, size=pending.size)
-        u = slot_agent[pending]
-        a = slot_query[pending]
-        v = slot_agent[partners]
-        b = slot_query[partners]
-        new_ub = u * m + b
-        new_va = v * m + a
+        u = agents[pending]
+        a = pending // gamma
+        v = agents[partners]
+        b = partners // gamma
+        new_ub = b * n + u
+        new_va = a * n + v
 
-        ok = (u != v) & (a != b)
-        ok &= _multiset_counts(base_sorted, delta, new_ub) == 0
-        ok &= _multiset_counts(base_sorted, delta, new_va) == 0
+        probes = np.concatenate([new_ub, new_va])
+        ub_count, va_count = _pair_counts(flat_index, probes).reshape(2, -1)
+        ok = (u != v) & (a != b) & (ub_count == 0) & (va_count == 0)
         # No two swaps in a batch may touch the same slot ...
         touched, touched_counts = np.unique(np.concatenate([pending, partners]), return_counts=True)
         busy = touched[touched_counts > 1]
@@ -384,33 +419,31 @@ def _repair_slots(
 
         applied = np.flatnonzero(ok)
         if applied.size:
-            s_idx = pending[applied]
-            t_idx = partners[applied]
-            old_ua = u[applied] * m + a[applied]
-            old_vb = v[applied] * m + b[applied]
-            slot_agent[s_idx] = v[applied]
-            slot_agent[t_idx] = u[applied]
-            for arr, step in ((old_ua, -1), (old_vb, -1), (new_ub[applied], 1), (new_va[applied], 1)):
-                for key in arr.tolist():
-                    delta[key] = delta.get(key, 0) + step
+            agents[pending[applied]] = v[applied]
+            agents[partners[applied]] = u[applied]
+            changed = np.unique(np.concatenate([a[applied], b[applied]]))
+            resorted = members[changed]
+            resorted.sort(axis=1)
+            resorted += row_keys[changed]
+            index[changed] = resorted
 
+        # A rejected slot kept its agent (a slot both pending and a partner is
+        # busy), so the survivors stay in (agent * m + query, slot) order with
+        # the copies of one pair adjacent.
         remaining = pending[~ok]
         if remaining.size:
             # Partner-side rewires can shrink a pair's multiplicity, so cap the
             # surviving repair slots at (current multiplicity - 1) per pair.
-            rem_keys = slot_agent[remaining] * m + slot_query[remaining]
-            ord2 = np.argsort(rem_keys, kind="stable")
-            rem_sorted = remaining[ord2]
-            keys_sorted = rem_keys[ord2]
-            uniq, run_start, run_len = np.unique(keys_sorted, return_index=True, return_counts=True)
-            surplus = np.maximum(_multiset_counts(base_sorted, delta, uniq) - 1, 0)
-            keep_len = np.minimum(run_len, surplus)
-            pos_in_run = np.arange(rem_sorted.size) - np.repeat(run_start, run_len)
-            pending = rem_sorted[pos_in_run < np.repeat(keep_len, run_len)]
+            rem_keys = (remaining // gamma) * n + agents[remaining]
+            run_start = np.flatnonzero(np.diff(rem_keys, prepend=-1))
+            run_len = np.diff(run_start, append=remaining.size)
+            surplus = _pair_counts(flat_index, rem_keys[run_start]) - 1
+            pos_in_run = np.arange(remaining.size) - np.repeat(run_start, run_len)
+            pending = remaining[pos_in_run < np.repeat(surplus, run_len)]
         else:
             pending = remaining
 
-    return slot_agent
+    return members
 
 
 def theoretical_gamma_window(n: int, m: int, p: float, delta: float = 0.05) -> tuple[float, float]:

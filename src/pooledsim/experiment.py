@@ -19,6 +19,8 @@ from .decoder import (
     ThresholdUndefinedError,
     compute_score_vector,
     decode,
+    rate_constant,
+    threshold_fraction,
 )
 from .designs import DesignSpec, SimplificationError, generate
 from .model import (
@@ -200,16 +202,20 @@ def run_trial_detailed(config: TrialConfig, m: int, trial_index: int) -> TrialDe
     rng = np.random.default_rng(seed)
     truth = sample_ground_truth(design.n, config.prior, rng)
     p = config.resolved_p()
+    # The threshold depends on (n, p, channel, m) alone: check it before
+    # paying for the design and the queries.
     try:
-        graph = generate(design, rng)
-        outcomes = run_queries(graph, truth, config.channel, rng)
-        vector = compute_score_vector(graph, outcomes, p, config.channel, m)
-    except SimplificationError:
-        result = _failed_trial(design, truth, seed, "simplification_failed")
-        return TrialDetail(result, truth, None, None, None, None)
+        threshold_fraction(rate_constant(design.n, p, config.channel), m, p)
     except ThresholdUndefinedError:
         result = _failed_trial(design, truth, seed, "threshold_undefined")
         return TrialDetail(result, truth, None, None, None, None)
+    try:
+        graph = generate(design, rng)
+    except SimplificationError:
+        result = _failed_trial(design, truth, seed, "simplification_failed")
+        return TrialDetail(result, truth, None, None, None, None)
+    outcomes = run_queries(graph, truth, config.channel, rng)
+    vector = compute_score_vector(graph, outcomes, p, config.channel, m)
     estimate = decode(vector.scores, vector.centers, vector.thresholds)
     report = eps_recovery(truth, estimate, config.epsilon)
     result = TrialResult(

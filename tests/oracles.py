@@ -11,7 +11,8 @@ from collections import Counter, defaultdict
 import numpy as np
 import scipy.stats
 
-from pooledsim.designs import PoolingGraph
+import pooledsim.designs as designs
+from pooledsim.designs import PoolingGraph, SimplificationError
 
 
 def naive_scores(graph: PoolingGraph, results) -> list[float]:
@@ -165,3 +166,110 @@ def regenerated_score_samples(seed: int, samples: int):
     population = degree * n - degree
     positives = int(bits.sum() * degree) - degree * int(bits[0])
     return x_values, distinct0, population, positives, degree, gamma
+
+
+def _multiset_counts(base_sorted: np.ndarray, delta: dict[int, int], keys: np.ndarray) -> np.ndarray:
+    """Current multiplicity of each key: static sorted snapshot plus overlay."""
+    left = np.searchsorted(base_sorted, keys, side="left")
+    right = np.searchsorted(base_sorted, keys, side="right")
+    counts = (right - left).astype(np.int64)
+    if delta:
+        adj = np.fromiter((delta.get(int(k), 0) for k in keys), dtype=np.int64, count=keys.size)
+        counts += adj
+    return counts
+
+
+def repair_slots_reference(
+    slot_agent: np.ndarray,
+    slot_query: np.ndarray,
+    n_agents: int,
+    n_queries: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Swap repair over a global (agent, query) key sort plus a dict overlay.
+
+    The original implementation of ``designs._repair_slots``, kept as the
+    slow path the row-wise repair must match: same agent column, same number
+    of draws from ``rng``.  It reads the attempt budget factor from
+    ``pooledsim.designs`` so a monkeypatched budget applies to both.
+    """
+    if int(np.bincount(slot_query, minlength=n_queries).max(initial=0)) > n_agents:
+        raise ValueError("a query with more edges than agents cannot be made simple")
+    if int(np.bincount(slot_agent, minlength=n_agents).max(initial=0)) > n_queries:
+        raise ValueError("an agent with more edges than queries cannot be made simple")
+
+    slot_agent = slot_agent.copy()
+    total = slot_agent.size
+    m = np.int64(n_queries)
+    budget = designs._MAX_SWAP_FACTOR * total
+    attempts = 0
+
+    keys = slot_agent * m + slot_query
+    order = np.argsort(keys, kind="stable")
+    base_sorted = keys[order]
+    delta: dict[int, int] = {}
+
+    # One repair slot per surplus copy of each duplicated pair.
+    dup = np.zeros(total, dtype=bool)
+    dup[1:] = base_sorted[1:] == base_sorted[:-1]
+    pending = order[dup]
+
+    while pending.size:
+        if attempts >= budget:
+            raise SimplificationError(
+                f"no simple graph reached within {budget} attempted swaps"
+            )
+        attempts += pending.size
+        partners = rng.integers(0, total, size=pending.size)
+        u = slot_agent[pending]
+        a = slot_query[pending]
+        v = slot_agent[partners]
+        b = slot_query[partners]
+        new_ub = u * m + b
+        new_va = v * m + a
+
+        ok = (u != v) & (a != b)
+        ok &= _multiset_counts(base_sorted, delta, new_ub) == 0
+        ok &= _multiset_counts(base_sorted, delta, new_va) == 0
+        # No two swaps in a batch may touch the same slot ...
+        touched, touched_counts = np.unique(np.concatenate([pending, partners]), return_counts=True)
+        busy = touched[touched_counts > 1]
+        if busy.size:
+            ok &= ~np.isin(pending, busy)
+            ok &= ~np.isin(partners, busy)
+        # ... nor create the same new pair.
+        proposed, proposed_counts = np.unique(np.concatenate([new_ub, new_va]), return_counts=True)
+        clashing = proposed[proposed_counts > 1]
+        if clashing.size:
+            ok &= ~np.isin(new_ub, clashing)
+            ok &= ~np.isin(new_va, clashing)
+
+        applied = np.flatnonzero(ok)
+        if applied.size:
+            s_idx = pending[applied]
+            t_idx = partners[applied]
+            old_ua = u[applied] * m + a[applied]
+            old_vb = v[applied] * m + b[applied]
+            slot_agent[s_idx] = v[applied]
+            slot_agent[t_idx] = u[applied]
+            for arr, step in ((old_ua, -1), (old_vb, -1), (new_ub[applied], 1), (new_va[applied], 1)):
+                for key in arr.tolist():
+                    delta[key] = delta.get(key, 0) + step
+
+        remaining = pending[~ok]
+        if remaining.size:
+            # Partner-side rewires can shrink a pair's multiplicity, so cap the
+            # surviving repair slots at (current multiplicity - 1) per pair.
+            rem_keys = slot_agent[remaining] * m + slot_query[remaining]
+            ord2 = np.argsort(rem_keys, kind="stable")
+            rem_sorted = remaining[ord2]
+            keys_sorted = rem_keys[ord2]
+            uniq, run_start, run_len = np.unique(keys_sorted, return_index=True, return_counts=True)
+            surplus = np.maximum(_multiset_counts(base_sorted, delta, uniq) - 1, 0)
+            keep_len = np.minimum(run_len, surplus)
+            pos_in_run = np.arange(rem_sorted.size) - np.repeat(run_start, run_len)
+            pending = rem_sorted[pos_in_run < np.repeat(keep_len, run_len)]
+        else:
+            pending = remaining
+
+    return slot_agent

@@ -5,9 +5,12 @@ import pytest
 import scipy.stats
 from scipy.special import gammaln
 
+import pooledsim.designs
+from oracles import repair_slots_reference
 from pooledsim.designs import (
     DesignSpec,
     PoolingGraph,
+    SimplificationError,
     degree_sequence,
     distinct_degrees,
     generate,
@@ -269,6 +272,87 @@ def test_simplify_preserves_degrees_over_many_runs():
         assert np.array_equal(out.query_degrees, graph.query_degrees)
         successes += 1
     assert successes == 1000
+
+
+def test_simplify_rejects_unequal_query_degrees():
+    # a non-simple graph with query degrees 3 and 1 has no (m, gamma) matrix
+    graph = graph_from_pairs(3, 2, 2, [(0, 0), (0, 0), (1, 0), (2, 1)])
+    with pytest.raises(ValueError, match="equal query degrees, got degrees from 1 to 3"):
+        simplify(graph, np.random.default_rng(0))
+
+
+# ------------------------------------------- swap repair against its oracle
+
+
+def shuffled_members(n, m, gamma, seed):
+    """The (m, gamma) member matrix generate_doubly_regular hands to the repair."""
+    rng = np.random.default_rng(seed)
+    degrees = degree_sequence(n, m, gamma, rng).degrees
+    stubs = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), degrees))
+    return stubs.reshape(m, gamma)
+
+
+def repair_outcome(repair, seed):
+    """Repaired agent column (or the error message) and the generator state after."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = repair(rng).ravel().tolist()
+    except SimplificationError as exc:
+        out = str(exc)
+    return out, rng.bit_generator.state
+
+
+def assert_repairs_agree(members, n, seed):
+    m, gamma = members.shape
+    fast = repair_outcome(
+        lambda rng: pooledsim.designs._repair_slots(members.copy(), n, rng), seed
+    )
+    slot_query = np.repeat(np.arange(m, dtype=np.int64), gamma)
+    slow = repair_outcome(
+        lambda rng: repair_slots_reference(members.ravel(), slot_query, n, m, rng), seed
+    )
+    assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "n, m, gamma, seeds",
+    [
+        (2, 3, 1, 20),
+        (2, 2, 2, 20),
+        (8, 6, 6, 20),  # gamma = 3n/4: dense rows
+        (40, 30, 30, 10),
+        (1000, 300, 100, 3),  # the figure point
+        (10**4, 1000, 500, 2),
+    ],
+)
+def test_repair_slots_matches_reference(n, m, gamma, seeds):
+    for seed in range(seeds):
+        assert_repairs_agree(shuffled_members(n, m, gamma, seed), n, seed + 10**6)
+
+
+def test_repair_slots_matches_reference_when_budget_is_spent(monkeypatch):
+    monkeypatch.setattr(pooledsim.designs, "_MAX_SWAP_FACTOR", 0)
+    members = shuffled_members(40, 30, 30, 5)
+    with pytest.raises(SimplificationError):
+        pooledsim.designs._repair_slots(members.copy(), 40, np.random.default_rng(0))
+    assert_repairs_agree(members, 40, 0)
+
+
+@pytest.mark.parametrize(
+    "n, members",
+    [
+        (2, [[0, 0, 1, 1]]),  # a query with more edges than agents
+        (3, [[0, 0], [0, 1]]),  # agent 0 has three edges but only two queries exist
+    ],
+)
+def test_repair_slots_matches_reference_on_infeasible_input(n, members):
+    members = np.array(members, dtype=np.int64)
+    m, gamma = members.shape
+    slot_query = np.repeat(np.arange(m, dtype=np.int64), gamma)
+    with pytest.raises(ValueError) as slow:
+        repair_slots_reference(members.ravel(), slot_query, n, m, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=str(slow.value)):
+        pooledsim.designs._repair_slots(members, n, np.random.default_rng(0))
 
 
 def test_generate_doubly_regular_simple_variant_is_simple():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pooledsim.experiment
 from pooledsim.decoder import required_queries
 from pooledsim.designs import DesignSpec
 from pooledsim.experiment import (
@@ -102,6 +103,23 @@ def test_run_trial_below_m_floor_is_tagged_not_raised():
     assert not result.success90
     assert not result.eps_ok
     assert result.overlap == 0.0
+
+
+def test_run_trial_below_m_floor_builds_no_design(monkeypatch):
+    config = make_config()
+    m = required_queries(100, 0.05, 0.2, 0.2, IDENT).m_floor - 1
+    expected = run_trial_detailed(config, m, 0)
+
+    def no_design(*args, **kwargs):
+        raise AssertionError("a design was generated for an undefined threshold")
+
+    monkeypatch.setattr(pooledsim.experiment, "generate", no_design)
+    detail = run_trial_detailed(config, m, 0)
+    assert detail.result == expected.result
+    assert detail.result.failure == "threshold_undefined"
+    assert detail.result.hamming == detail.truth.ones
+    assert np.array_equal(detail.truth.bits, expected.truth.bits)
+    assert detail.scores is None and detail.estimate is None
 
 
 def test_run_trial_detailed_exposes_arrays():
