@@ -3,114 +3,31 @@
 The package covers the full pipeline: random pooling designs (Bernoulli,
 one-sided regular, doubly regular, with or without multi-edges), noisy
 additive queries, threshold decoding, closed-form query bounds, and a seeded
-Monte-Carlo sweep harness with a CLI.
+Monte-Carlo sweep harness with a CLI.  The names below are the pipeline's
+entry points; everything else is reached through its module.
 """
 
 __version__ = "0.1.0"
 
-from .channel import QueryOutcomes, effective_p, read_bit, run_queries
-from .decoder import (
-    BoundReport,
-    DegenerateChannelError,
-    ScoreVector,
-    ThresholdUndefinedError,
-    compute_score_vector,
-    compute_scores,
-    counting_bound,
-    decision_threshold,
-    decode,
-    entropy,
-    error_exponents,
-    rate_constant,
-    required_queries,
-    score_centers,
-    threshold_fraction,
-)
-from .designs import (
-    FAMILIES,
-    DegreeSequence,
-    DesignSpec,
-    PoolingGraph,
-    SimplificationError,
-    degree_sequence,
-    distinct_degrees,
-    generate,
-    generate_bernoulli,
-    generate_doubly_regular,
-    generate_one_sided,
-    read_edge_list,
-    simplify,
-    theoretical_gamma_window,
-    write_edge_list,
-)
-from .experiment import (
-    AggregateRow,
-    TrialConfig,
-    TrialDetail,
-    TrialResult,
-    derive_seed,
-    run_sweep,
-    run_trial,
-    run_trial_detailed,
-    wilson_interval,
-)
-from .model import (
-    BernoulliPrior,
-    ChannelMatrix,
-    FixedPrior,
-    GroundTruth,
-    Prior,
-    RecoveryReport,
-    UndefinedMetricError,
-    eps_recovery,
-    hamming_distance,
-    overlap,
-    sample_ground_truth,
-)
+from .channel import run_queries
+from .decoder import compute_score_vector, decode, required_queries
+from .designs import DesignSpec, SimplificationError, generate, read_edge_list, write_edge_list
+from .experiment import TrialConfig, derive_seed, run_sweep, run_trial, run_trial_detailed
+from .model import BernoulliPrior, ChannelMatrix, FixedPrior, eps_recovery, sample_ground_truth
 
 __all__ = [
     "__version__",
-    "AggregateRow",
     "BernoulliPrior",
-    "BoundReport",
     "ChannelMatrix",
-    "DegenerateChannelError",
-    "DegreeSequence",
     "DesignSpec",
-    "FAMILIES",
     "FixedPrior",
-    "GroundTruth",
-    "PoolingGraph",
-    "Prior",
-    "QueryOutcomes",
-    "RecoveryReport",
-    "ScoreVector",
     "SimplificationError",
-    "ThresholdUndefinedError",
     "TrialConfig",
-    "TrialDetail",
-    "TrialResult",
-    "UndefinedMetricError",
     "compute_score_vector",
-    "compute_scores",
-    "counting_bound",
-    "decision_threshold",
     "decode",
-    "degree_sequence",
     "derive_seed",
-    "distinct_degrees",
-    "effective_p",
-    "entropy",
     "eps_recovery",
-    "error_exponents",
     "generate",
-    "generate_bernoulli",
-    "generate_doubly_regular",
-    "generate_one_sided",
-    "hamming_distance",
-    "overlap",
-    "rate_constant",
-    "read_bit",
     "read_edge_list",
     "required_queries",
     "run_queries",
@@ -118,10 +35,5 @@ __all__ = [
     "run_trial",
     "run_trial_detailed",
     "sample_ground_truth",
-    "score_centers",
-    "simplify",
-    "theoretical_gamma_window",
-    "threshold_fraction",
-    "wilson_interval",
     "write_edge_list",
 ]

@@ -8,7 +8,7 @@ import numpy as np
 from .designs import PoolingGraph
 from .model import ChannelMatrix, GroundTruth
 
-__all__ = ["QueryOutcomes", "read_bit", "run_queries", "effective_p"]
+__all__ = ["QueryOutcomes", "run_queries", "effective_p"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,12 +21,6 @@ class QueryOutcomes:
         if not isinstance(other, QueryOutcomes):
             return NotImplemented
         return np.array_equal(self.results, other.results)
-
-
-def read_bit(bit: int, channel: ChannelMatrix, rng: np.random.Generator) -> int:
-    """One read of a single bit through the channel; independent across calls."""
-    prob = channel.s11 if bit else channel.s01
-    return int(rng.random() < prob)
 
 
 def run_queries(
@@ -44,7 +38,8 @@ def run_queries(
     """
     if truth.n != graph.n_agents:
         raise ValueError(f"truth has {truth.n} agents but graph has {graph.n_agents}")
-    agents, queries = graph.expanded()
+    agents = np.repeat(graph.edge_agents, graph.edge_mult)
+    queries = np.repeat(graph.edge_queries, graph.edge_mult)
     read_prob = np.where(truth.bits[agents] == 1, channel.s11, channel.s01)
     reads = rng.random(agents.size) < read_prob
     results = np.bincount(queries, weights=reads, minlength=graph.n_queries).astype(np.int64)

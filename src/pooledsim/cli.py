@@ -12,13 +12,13 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .decoder import counting_bound, required_queries, ThresholdUndefinedError
+from .decoder import counting_bound, required_queries
 from .designs import (
     FAMILIES,
     DesignSpec,
@@ -66,17 +66,13 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _channel_from_args(args: argparse.Namespace) -> ChannelMatrix:
-    return ChannelMatrix(s11=args.s11, s01=args.s01)
-
-
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s11", type=float, default=1.0, help="P(read 1 | sent 1)")
     parser.add_argument("--s01", type=float, default=0.0, help="P(read 1 | sent 0)")
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    channel = _channel_from_args(args)
+    channel = ChannelMatrix(s11=args.s11, s01=args.s01)
     report = required_queries(args.n, args.p, args.eps, args.delta, channel)
     print(f"rate constant L = {report.rate!r}")
     print(f"query bound (real) = {report.bound!r}")
@@ -93,6 +89,21 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write UTF-8 text with LF endings through a temp file in the same directory.
+
+    ``os.replace`` then swaps it in, so ``path`` holds either its old content
+    or all of the new, and a failed write leaves no temp file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     spec = DesignSpec(
         n=args.n, m=args.m, gamma=args.gamma, family=args.family, allow_multi=args.multi
@@ -101,18 +112,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
     graph = generate(spec, rng)
     buffer = io.StringIO()
     write_edge_list(buffer, graph, spec.family, spec.allow_multi)
-    Path(args.output).write_text(buffer.getvalue(), encoding="utf-8", newline="\n")
+    _write_atomic(Path(args.output), buffer.getvalue())
     return EXIT_OK
 
 
-def _manifest(args: argparse.Namespace, extra: dict) -> dict:
-    manifest = {"tool": "pooledsim", "version": __version__}
-    manifest.update(extra)
-    return manifest
+def _manifest(extra: dict) -> dict:
+    return {"tool": "pooledsim", "version": __version__, **extra}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    channel = _channel_from_args(args)
+    channel = ChannelMatrix(s11=args.s11, s01=args.s01)
     if (args.k is None) == (args.p is None):
         raise ValueError("exactly one of --k and --p must be given")
     prior = FixedPrior(args.k) if args.k is not None else BernoulliPrior(args.p)
@@ -132,7 +141,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = detail.result
     report = {
         "manifest": _manifest(
-            args,
             {
                 "n": args.n,
                 "m": args.m,
@@ -200,22 +208,15 @@ _SWEEP_KEYS = {
 _REQUIRED_SWEEP_KEYS = ("n", "gamma", "epsilon", "trials", "seed", "m_grid", "families")
 
 
+@dataclass(frozen=True)
 class SweepConfig:
     """Resolved sweep configuration parsed from a flat key = value file."""
 
-    def __init__(
-        self,
-        trial: TrialConfig,
-        m_grid: list[int],
-        families: list[tuple[str, bool]],
-        trials_per_point: int,
-        raw: dict[str, str],
-    ) -> None:
-        self.trial = trial
-        self.m_grid = m_grid
-        self.families = families
-        self.trials_per_point = trials_per_point
-        self.raw = raw
+    trial: TrialConfig
+    m_grid: list[int]
+    families: list[tuple[str, bool]]
+    trials_per_point: int
+    raw: dict[str, str]
 
 
 def _parse_m_grid(text: str) -> list[int]:
@@ -368,10 +369,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
     output = Path(args.output)
-    output.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    manifest = {
-        "tool": "pooledsim",
-        "version": __version__,
+    _write_atomic(output, "\n".join(lines) + "\n")
+    manifest = _manifest({
         "config": config.raw,
         "resolved": {
             "n": config.trial.design.n,
@@ -386,10 +385,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "s01": channel.s01,
         },
         "output": output.name,
-    }
-    manifest_path = output.with_name(output.name + ".manifest.json")
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
+    })
+    _write_atomic(
+        output.with_name(output.name + ".manifest.json"),
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n",
     )
     return EXIT_OK
 
@@ -454,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ThresholdUndefinedError, ValueError) as exc:
+    except ValueError as exc:
         print(f"pooledsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimplificationError, OSError) as exc:

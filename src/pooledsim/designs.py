@@ -16,16 +16,10 @@ import numpy as np
 __all__ = [
     "FAMILIES",
     "DesignSpec",
-    "DegreeSequence",
     "PoolingGraph",
     "SimplificationError",
     "degree_sequence",
     "generate",
-    "generate_bernoulli",
-    "generate_one_sided",
-    "generate_doubly_regular",
-    "simplify",
-    "distinct_degrees",
     "theoretical_gamma_window",
     "write_edge_list",
     "read_edge_list",
@@ -72,25 +66,10 @@ class DesignSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeSequence:
-    """Agent degrees with max - min <= 1 summing to m * gamma."""
-
-    degrees: np.ndarray
-
-    @property
-    def average(self) -> float:
-        return float(self.degrees.sum()) / self.degrees.size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DegreeSequence):
-            return NotImplemented
-        return np.array_equal(self.degrees, other.degrees)
-
-
-def degree_sequence(n: int, m: int, gamma: int, rng: np.random.Generator) -> DegreeSequence:
+def degree_sequence(n: int, m: int, gamma: int, rng: np.random.Generator) -> np.ndarray:
     """Split m * gamma edge endpoints over n agents as evenly as possible.
 
+    Returns a read-only int64 array of n agent degrees with max - min <= 1.
     The (m * gamma mod n) agents receiving the larger degree are chosen
     uniformly at random so that no index is systematically favoured.
     """
@@ -102,7 +81,7 @@ def degree_sequence(n: int, m: int, gamma: int, rng: np.random.Generator) -> Deg
     if extra:
         degrees[rng.choice(n, size=extra, replace=False)] += 1
     degrees.setflags(write=False)
-    return DegreeSequence(degrees=degrees)
+    return degrees
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +165,6 @@ class PoolingGraph:
     def is_simple(self) -> bool:
         return bool(self.edge_mult.size == 0 or self.edge_mult.max() == 1)
 
-    @cached_property
-    def _expanded(self) -> tuple[np.ndarray, np.ndarray]:
-        agents = np.repeat(self.edge_agents, self.edge_mult)
-        queries = np.repeat(self.edge_queries, self.edge_mult)
-        agents.setflags(write=False)
-        queries.setflags(write=False)
-        return agents, queries
-
-    def expanded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge instances with multiplicity, in sorted (agent, query) order."""
-        return self._expanded
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PoolingGraph):
             return NotImplemented
@@ -211,24 +178,17 @@ class PoolingGraph:
         )
 
 
-def distinct_degrees(graph: PoolingGraph) -> np.ndarray:
-    """Number of distinct queries each agent appears in."""
-    return graph.distinct_agent_degrees
-
-
 def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
     """Generate a pooling graph for any design family."""
     if spec.family == "bernoulli":
-        return generate_bernoulli(spec, rng)
+        return _generate_bernoulli(spec, rng)
     if spec.family == "one_sided_regular":
-        return generate_one_sided(spec, rng)
-    return generate_doubly_regular(spec, rng)
+        return _generate_one_sided(spec, rng)
+    return _generate_doubly_regular(spec, rng)
 
 
-def generate_bernoulli(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
+def _generate_bernoulli(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
     """Independent coin flip per (agent, query) pair with edge probability gamma / n."""
-    if spec.family != "bernoulli":
-        raise ValueError(f"spec family is {spec.family!r}, expected 'bernoulli'")
     p_edge = spec.gamma / spec.n
     agents_parts: list[np.ndarray] = []
     queries_parts: list[np.ndarray] = []
@@ -257,14 +217,12 @@ def _uniform_subsets(n: int, m: int, gamma: int, rng: np.random.Generator) -> np
     return out
 
 
-def generate_one_sided(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
+def _generate_one_sided(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
     """Every query independently draws gamma agents.
 
     The multi variant draws with replacement, the simple variant draws a
     uniform gamma-subset.
     """
-    if spec.family != "one_sided_regular":
-        raise ValueError(f"spec family is {spec.family!r}, expected 'one_sided_regular'")
     if spec.allow_multi:
         members = rng.integers(0, spec.n, size=(spec.m, spec.gamma))
     else:
@@ -273,7 +231,7 @@ def generate_one_sided(spec: DesignSpec, rng: np.random.Generator) -> PoolingGra
     return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, members.ravel(), queries)
 
 
-def generate_doubly_regular(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
+def _generate_doubly_regular(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
     """Configuration model matching gamma-regular queries to a balanced degree sequence.
 
     The m * gamma query-side stubs are matched positionally against a uniformly
@@ -281,12 +239,10 @@ def generate_doubly_regular(spec: DesignSpec, rng: np.random.Generator) -> Pooli
     over matchings).  Slots are laid out query-major: slot ``i`` belongs to
     query ``i // gamma``, so the shuffled stubs reshape into the ``(m, gamma)``
     member matrix of the queries.  Without ``allow_multi`` that matrix is
-    repaired row by row with double-edge swaps (see :func:`simplify`), which
-    may raise :class:`SimplificationError`.
+    repaired row by row with double-edge swaps (see :func:`_repair_slots`),
+    which may raise :class:`SimplificationError`.
     """
-    if spec.family != "doubly_regular":
-        raise ValueError(f"spec family is {spec.family!r}, expected 'doubly_regular'")
-    degrees = degree_sequence(spec.n, spec.m, spec.gamma, rng).degrees
+    degrees = degree_sequence(spec.n, spec.m, spec.gamma, rng)
     agent_stubs = np.repeat(np.arange(spec.n, dtype=np.int64), degrees)
     members = rng.permutation(agent_stubs).reshape(spec.m, spec.gamma)
     del agent_stubs
@@ -294,41 +250,6 @@ def generate_doubly_regular(spec: DesignSpec, rng: np.random.Generator) -> Pooli
         members = _repair_slots(members, spec.n, rng)
     slot_queries = np.repeat(np.arange(spec.m, dtype=np.int64), spec.gamma)
     return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, members.ravel(), slot_queries)
-
-
-def simplify(graph: PoolingGraph, rng: np.random.Generator) -> PoolingGraph:
-    """Remove multi-edges by degree-preserving double-edge swaps.
-
-    While an edge (u, a) with multiplicity >= 2 exists, a uniformly random
-    other edge instance (v, b) is drawn and the pair is rewired to
-    {(u, b), (v, a)} whenever that creates no new duplicate.  Swaps are
-    proposed in batches; proposals that conflict within a batch are rejected
-    and retried, which preserves the per-swap validity rule.  Both degree
-    vectors are invariant under every swap.  Raises SimplificationError after
-    100 * |E| attempted swaps.
-
-    The edge instances are regrouped query-major into an ``(m, gamma)``
-    member matrix, with each query's agents in ascending order, and repaired
-    by the same row-wise routine as :func:`generate_doubly_regular`.
-    Duplicates can only occur inside a row, so they are found by sorting each
-    row.  The matrix needs every query to have the same degree; a non-simple
-    graph whose query degrees differ raises ValueError.
-    """
-    if graph.is_simple:
-        return graph
-    degrees = graph.query_degrees
-    if int(degrees.min()) != int(degrees.max()):
-        raise ValueError(
-            f"swap repair needs equal query degrees, got degrees from {int(degrees.min())} "
-            f"to {int(degrees.max())}"
-        )
-    slot_agent, slot_query = graph.expanded()
-    members = slot_agent[np.argsort(slot_query, kind="stable")]
-    members = members.reshape(graph.n_queries, int(degrees[0]))
-    repaired = _repair_slots(members, graph.n_agents, rng)
-    return PoolingGraph.from_pairs(
-        graph.n_agents, graph.n_queries, graph.gamma, repaired.ravel(), np.sort(slot_query)
-    )
 
 
 def _pair_counts(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -348,7 +269,12 @@ def _pair_counts(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _repair_slots(
     members: np.ndarray, n_agents: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Swap-repair core on an ``(m, gamma)`` member matrix, in place; returns it.
+    """Remove multi-edges from an ``(m, gamma)`` member matrix, in place; returns it.
+
+    Each surplus copy (u, a) and a uniformly random slot (v, b) are rewired to
+    {(u, b), (v, a)} when that makes no new duplicate, in batches whose
+    conflicting swaps are retried; both degree vectors stay fixed.  Raises
+    SimplificationError after ``_MAX_SWAP_FACTOR * m * gamma`` attempted swaps.
 
     ``members`` must be a C-contiguous int64 array.  Flat slot ``i`` is query
     ``i // gamma``.  Surplus copies are the repeats of an agent within a row
@@ -474,7 +400,10 @@ def write_edge_list(stream: IO[str], graph: PoolingGraph, family: str, allow_mul
 
 
 def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
-    """Parse the canonical edge-list format back into a spec and graph."""
+    """Parse the canonical edge-list format back into a spec and graph.
+
+    A body that :func:`write_edge_list` cannot have written raises ValueError.
+    """
     it = iter(lines)
     try:
         header = next(it)
@@ -492,15 +421,50 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     agents: list[int] = []
     queries: list[int] = []
     mults: list[int] = []
+    blank_lines: list[int] = []
     for lineno, line in enumerate(it, start=2):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            blank_lines.append(lineno)
+            continue
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 'agent query multiplicity' triple")
         agents.append(int(fields[0]))
         queries.append(int(fields[1]))
         mults.append(int(fields[2]))
-    agent_arr = np.repeat(np.asarray(agents, dtype=np.int64), np.asarray(mults, dtype=np.int64))
-    query_arr = np.repeat(np.asarray(queries, dtype=np.int64), np.asarray(mults, dtype=np.int64))
-    return spec, PoolingGraph.from_pairs(n, m, gamma, agent_arr, query_arr)
+    agent_arr = np.asarray(agents, dtype=np.int64)
+    query_arr = np.asarray(queries, dtype=np.int64)
+    mult_arr = np.asarray(mults, dtype=np.int64)
+    del agents, queries, mults  # boxed ints: free them before the array work peaks
+
+    # Each edge against the one before it; the first edge steps by 1.
+    step_a = np.diff(agent_arr, prepend=agent_arr[:1] - 1)
+    step_q = np.diff(query_arr, prepend=query_arr[:1] - 1)
+    rules = [
+        (f"agent outside 0..{n - 1}", (agent_arr < 0) | (agent_arr >= n)),
+        (f"query outside 0..{m - 1}", (query_arr < 0) | (query_arr >= m)),
+        ("multiplicity must be at least 1", mult_arr < 1),
+        ("multiplicity above 1 under multi=false", (mult_arr > 1) & (not allow_multi)),
+        ("repeats the line before", (step_a == 0) & (step_q == 0)),
+        ("precedes the line before", (step_a < 0) | ((step_a == 0) & (step_q < 0))),
+    ]
+    for rule, bad in rules:
+        if bad.any():
+            # Edge i sits on line i + 2, moved down by each blank line above it.
+            lineno = int(np.argmax(bad)) + 2
+            for blank in blank_lines:
+                lineno += blank <= lineno
+            raise ValueError(f"line {lineno}: {rule}")
+
+    graph = PoolingGraph.from_pairs(
+        n, m, gamma, np.repeat(agent_arr, mult_arr), np.repeat(query_arr, mult_arr)
+    )
+    if family == "doubly_regular":
+        off = np.flatnonzero(graph.query_degrees != gamma)
+        if off.size:
+            query = int(off[0])
+            raise ValueError(
+                f"doubly_regular query {query} has degree {int(graph.query_degrees[query])}, "
+                f"expected gamma={gamma}"
+            )
+    return spec, graph

@@ -15,6 +15,39 @@ import pooledsim.designs as designs
 from pooledsim.designs import PoolingGraph, SimplificationError
 
 
+def read_bit(bit: int, channel, rng: np.random.Generator) -> int:
+    """One read of a single bit through the channel; independent across calls."""
+    prob = channel.s11 if bit else channel.s01
+    return int(rng.random() < prob)
+
+
+def simplify(graph: PoolingGraph, rng: np.random.Generator) -> PoolingGraph:
+    """Remove the multi-edges of any graph by ``designs._repair_slots`` swaps.
+
+    The edge instances are regrouped query-major into an ``(m, gamma)``
+    member matrix, with each query's agents in ascending order, and repaired
+    by the same row-wise routine as the doubly regular generator.  The matrix
+    needs every query to have the same degree; a non-simple graph whose query
+    degrees differ raises ValueError.
+    """
+    if graph.is_simple:
+        return graph
+    degrees = graph.query_degrees
+    if int(degrees.min()) != int(degrees.max()):
+        raise ValueError(
+            f"swap repair needs equal query degrees, got degrees from {int(degrees.min())} "
+            f"to {int(degrees.max())}"
+        )
+    slot_agent = np.repeat(graph.edge_agents, graph.edge_mult)
+    slot_query = np.repeat(graph.edge_queries, graph.edge_mult)
+    members = slot_agent[np.argsort(slot_query, kind="stable")]
+    members = members.reshape(graph.n_queries, int(degrees[0]))
+    repaired = designs._repair_slots(members, graph.n_agents, rng)
+    return PoolingGraph.from_pairs(
+        graph.n_agents, graph.n_queries, graph.gamma, repaired.ravel(), np.sort(slot_query)
+    )
+
+
 def naive_scores(graph: PoolingGraph, results) -> list[float]:
     """Per-agent score via explicit dict loops over the edge multiset."""
     incident: dict[int, set[int]] = defaultdict(set)

@@ -12,12 +12,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import regenerated_score_samples, stratified_hypergeometric_chi2
+from oracles import regenerated_score_samples, simplify, stratified_hypergeometric_chi2
 from test_channel import ball_coloring_chi2_pvalue
 
 from pooledsim.cli import main as cli_main
 from pooledsim.decoder import required_queries
-from pooledsim.designs import DesignSpec, FAMILIES, generate, simplify
+from pooledsim.designs import DesignSpec, FAMILIES, generate
 from pooledsim.experiment import TrialConfig, run_sweep, run_trial, wilson_interval
 from pooledsim.model import ChannelMatrix, FixedPrior
 

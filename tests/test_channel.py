@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from pooledsim.channel import effective_p, read_bit, run_queries
+from oracles import read_bit
+from pooledsim.channel import effective_p, run_queries
 from pooledsim.designs import DesignSpec, PoolingGraph, generate
 from pooledsim.model import BernoulliPrior, ChannelMatrix, GroundTruth, sample_ground_truth
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import pooledsim.designs
-from pooledsim.cli import main, parse_sweep_config, ConfigError
+from pooledsim.cli import _write_atomic, main, parse_sweep_config, ConfigError
 from pooledsim.designs import SimplificationError, read_edge_list
 
 
@@ -247,3 +247,15 @@ def test_simulate_warns_outside_gamma_window(capsys):
 def test_simulate_inside_window_is_quiet(recwarn):
     assert main(simulate_args()) == 0
     assert not [w for w in recwarn if "admissibility" in str(w.message)]
+
+
+# ------------------------------------------------------------ atomic output
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
+    target = tmp_path / "results.csv"
+    target.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_atomic(target, "new\n\ud800")  # a lone surrogate has no UTF-8 form
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]

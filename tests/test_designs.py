@@ -6,19 +6,14 @@ import scipy.stats
 from scipy.special import gammaln
 
 import pooledsim.designs
-from oracles import repair_slots_reference
+from oracles import repair_slots_reference, simplify
 from pooledsim.designs import (
     DesignSpec,
     PoolingGraph,
     SimplificationError,
     degree_sequence,
-    distinct_degrees,
     generate,
-    generate_bernoulli,
-    generate_doubly_regular,
-    generate_one_sided,
     read_edge_list,
-    simplify,
     theoretical_gamma_window,
     write_edge_list,
 )
@@ -65,14 +60,14 @@ def test_design_spec_validation():
 def test_degree_sequence_forced_examples():
     rng = np.random.default_rng(0)
     seq = degree_sequence(5, 2, 3, rng)
-    assert sorted(seq.degrees.tolist()) == [1, 1, 1, 1, 2]
-    assert int(seq.degrees.sum()) == 6
+    assert sorted(seq.tolist()) == [1, 1, 1, 1, 2]
+    assert int(seq.sum()) == 6
 
     seq = degree_sequence(4, 2, 2, rng)
-    assert seq.degrees.tolist() == [1, 1, 1, 1]
+    assert seq.tolist() == [1, 1, 1, 1]
 
     seq = degree_sequence(3, 3, 2, rng)
-    assert seq.degrees.tolist() == [2, 2, 2]
+    assert seq.tolist() == [2, 2, 2]
 
 
 def test_degree_sequence_randomized_grid():
@@ -82,9 +77,9 @@ def test_degree_sequence_randomized_grid():
         m = int(rng.integers(1, 50))
         gamma = int(rng.integers(1, 50))
         seq = degree_sequence(n, m, gamma, rng)
-        assert int(seq.degrees.sum()) == m * gamma
-        assert int(seq.degrees.max() - seq.degrees.min()) <= 1
-        assert seq.average == pytest.approx(m * gamma / n)
+        assert int(seq.sum()) == m * gamma
+        assert int(seq.max() - seq.min()) <= 1
+        assert seq.mean() == pytest.approx(m * gamma / n)
 
 
 def test_degree_sequence_surplus_agents_are_random():
@@ -93,7 +88,7 @@ def test_degree_sequence_surplus_agents_are_random():
     hits = np.zeros(5)
     for _ in range(2000):
         seq = degree_sequence(5, 2, 3, rng)  # one agent gets degree 2
-        hits[np.argmax(seq.degrees)] += 1
+        hits[np.argmax(seq)] += 1
     # each agent should carry the surplus about 400 times; 5 sigma ~ 90
     assert hits.min() > 250
     assert hits.max() < 550
@@ -105,7 +100,7 @@ def test_degree_sequence_surplus_agents_are_random():
 def test_doubly_regular_degree_one_agents():
     rng = np.random.default_rng(1)
     spec = DesignSpec(n=4, m=2, gamma=2, family="doubly_regular", allow_multi=True)
-    graph = generate_doubly_regular(spec, rng)
+    graph = generate(spec, rng)
     assert graph.total_reads == 4
     assert graph.query_degrees.tolist() == [2, 2]
     assert graph.agent_degrees.tolist() == [1, 1, 1, 1]
@@ -170,7 +165,7 @@ def test_doubly_regular_exchangeable_membership():
 def test_one_sided_single_agent_queries():
     rng = np.random.default_rng(4)
     spec = DesignSpec(n=5, m=3, gamma=1, family="one_sided_regular", allow_multi=False)
-    graph = generate_one_sided(spec, rng)
+    graph = generate(spec, rng)
     assert graph.query_degrees.tolist() == [1, 1, 1]
     assert int(graph.agent_degrees.sum()) == 3
 
@@ -212,7 +207,7 @@ def test_one_sided_multi_self_pair_rate():
 def test_bernoulli_complete_graph():
     rng = np.random.default_rng(6)
     spec = DesignSpec(n=4, m=2, gamma=4, family="bernoulli")
-    graph = generate_bernoulli(spec, rng)
+    graph = generate(spec, rng)
     assert graph.total_reads == 8
     assert (graph.query_degrees == 4).all()
     assert (graph.agent_degrees == 2).all()
@@ -285,9 +280,9 @@ def test_simplify_rejects_unequal_query_degrees():
 
 
 def shuffled_members(n, m, gamma, seed):
-    """The (m, gamma) member matrix generate_doubly_regular hands to the repair."""
+    """The (m, gamma) member matrix the doubly regular generator hands to the repair."""
     rng = np.random.default_rng(seed)
-    degrees = degree_sequence(n, m, gamma, rng).degrees
+    degrees = degree_sequence(n, m, gamma, rng)
     stubs = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), degrees))
     return stubs.reshape(m, gamma)
 
@@ -369,13 +364,13 @@ def test_generate_doubly_regular_simple_variant_is_simple():
 
 def test_distinct_degrees_simple_graph():
     graph = graph_from_pairs(3, 2, 2, [(0, 0), (1, 0), (1, 1), (2, 1)])
-    assert distinct_degrees(graph).tolist() == graph.agent_degrees.tolist()
+    assert graph.distinct_agent_degrees.tolist() == graph.agent_degrees.tolist()
 
 
 def test_distinct_degrees_collapses_multiplicity():
     graph = graph_from_pairs(2, 1, 3, [(0, 0), (0, 0), (0, 0)])
     assert graph.agent_degrees.tolist() == [3, 0]
-    assert distinct_degrees(graph).tolist() == [1, 0]
+    assert graph.distinct_agent_degrees.tolist() == [1, 0]
 
 
 def test_distinct_degree_ratio_dense_multigraph():
@@ -383,7 +378,7 @@ def test_distinct_degree_ratio_dense_multigraph():
     spec = DesignSpec(n=1000, m=100, gamma=100, family="doubly_regular", allow_multi=True)
     graph = generate(spec, rng)
     avg_degree = 100 * 100 / 1000
-    ratio = distinct_degrees(graph).mean() / avg_degree
+    ratio = graph.distinct_agent_degrees.mean() / avg_degree
     assert 0.9 <= ratio <= 1.0
     # matches m * p_c / avg_degree from the exact membership probability
     p_exact = membership_probability(total_stubs=10**4, agent_stubs=10, gamma=100)
@@ -415,27 +410,32 @@ def test_edge_list_round_trip_with_multiplicities():
     assert graph_back == graph
 
 
-def test_edge_list_rejects_malformed_header():
-    with pytest.raises(ValueError):
-        read_edge_list(io.StringIO("4 2 2 doubly_regular\n"))
-    with pytest.raises(ValueError):
-        read_edge_list(io.StringIO(""))
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4 2 2 doubly_regular\n", "malformed header"),
+        ("", "empty edge-list input"),
+        (
+            "2 1 2 one_sided_regular false\n0 0 2\n",
+            "line 2: multiplicity above 1 under multi=false",
+        ),
+        ("2 1 2 one_sided_regular true\n0 0 2\n1 0 0\n", "line 3: multiplicity must be at least 1"),
+        ("2 1 2 one_sided_regular true\n0 0 1\n0 0 1\n", "line 3: repeats the line before"),
+        ("2 1 2 one_sided_regular false\n\n1 0 1\n0 0 1\n", "line 4: precedes the line before"),
+        ("3 2 2 doubly_regular false\n0 0 1\n1 0 1\n1 1 1\n", "query 1 has degree 1, expected gamma=2"),
+        ("2 1 2 one_sided_regular false\n0 0 1\n5 0 1\n", r"line 3: agent outside 0\.\.1"),
+    ],
+    ids=[
+        "no-multi-flag", "empty", "multi-false", "mult-zero", "duplicate", "unsorted", "dr-degree",
+        "agent-range",
+    ],
+)
+def test_edge_list_rejects_malformed_header(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_edge_list(io.StringIO(text))
 
 
 # ------------------------------------------------------------- gamma window
-
-
-def test_generators_reject_mismatched_family():
-    rng = np.random.default_rng(0)
-    spec = DesignSpec(n=5, m=2, gamma=2, family="doubly_regular")
-    with pytest.raises(ValueError):
-        generate_bernoulli(spec, rng)
-    with pytest.raises(ValueError):
-        generate_one_sided(spec, rng)
-    with pytest.raises(ValueError):
-        generate_doubly_regular(
-            DesignSpec(n=5, m=2, gamma=2, family="bernoulli"), rng
-        )
 
 
 def test_theoretical_gamma_window_monotone_in_m():
