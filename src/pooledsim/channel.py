@@ -17,11 +17,6 @@ class QueryOutcomes:
 
     results: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QueryOutcomes):
-            return NotImplemented
-        return np.array_equal(self.results, other.results)
-
 
 def run_queries(
     graph: PoolingGraph,

@@ -63,6 +63,8 @@ def _default_workers() -> int:
         if value < 1:
             raise ConfigError(f"{_WORKERS_ENV} must be at least 1, got {value}")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -189,25 +191,6 @@ def _warn_gamma_window(design: DesignSpec, p: float) -> None:
         )
 
 
-# Keys accepted in sweep config files (flat `key = value` lines).
-_SWEEP_KEYS = {
-    "n",
-    "k",
-    "p",
-    "gamma",
-    "s11",
-    "s01",
-    "epsilon",
-    "trials",
-    "seed",
-    "m_grid",
-    "families",
-    "p_for_threshold",
-}
-
-_REQUIRED_SWEEP_KEYS = ("n", "gamma", "epsilon", "trials", "seed", "m_grid", "families")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Resolved sweep configuration parsed from a flat key = value file."""
@@ -256,9 +239,21 @@ def _parse_families(text: str) -> list[tuple[str, bool]]:
     return families
 
 
+# Keys accepted in sweep config files (flat `key = value` lines), each with
+# the parser of its value.
+_SWEEP_KEYS = {
+    "n": int, "k": int, "p": float, "gamma": int, "s11": float, "s01": float,
+    "epsilon": float, "trials": int, "seed": int, "p_for_threshold": float,
+    "m_grid": _parse_m_grid, "families": _parse_families,
+}
+
+_REQUIRED_SWEEP_KEYS = ("n", "gamma", "epsilon", "trials", "seed", "m_grid", "families")
+
+
 def parse_sweep_config(text: str) -> SweepConfig:
     """Parse the flat sweep config format; raises ConfigError with line context."""
     raw: dict[str, str] = {}
+    values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -274,6 +269,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: key {key!r} has no value")
+        try:
+            values[key] = _SWEEP_KEYS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
         raw[key] = value
 
     for key in _REQUIRED_SWEEP_KEYS:
@@ -282,48 +281,29 @@ def parse_sweep_config(text: str) -> SweepConfig:
     if ("k" in raw) == ("p" in raw):
         raise ConfigError("exactly one of 'k' and 'p' must be set")
 
-    def _int(key: str) -> int:
-        try:
-            return int(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} must be an integer, got {raw[key]!r}") from exc
-
-    def _float(key: str, default: float | None = None) -> float | None:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} must be a number, got {raw[key]!r}") from exc
-
-    n = _int("n")
-    gamma = _int("gamma")
-    trials = _int("trials")
-    seed = _int("seed")
-    m_grid = _parse_m_grid(raw["m_grid"])
-    families = _parse_families(raw["families"])
-    prior = FixedPrior(_int("k")) if "k" in raw else BernoulliPrior(_float("p"))
-    channel = ChannelMatrix(s11=_float("s11", 1.0), s01=_float("s01", 0.0))
+    m_grid = values["m_grid"]
+    families = values["families"]
     # The design template's family/multi/m are placeholders; run_sweep
     # overrides them per sweep point.
     template_family, template_multi = families[0]
-    design = DesignSpec(
-        n=n, m=m_grid[0], gamma=gamma, family=template_family, allow_multi=template_multi
-    )
     try:
+        design = DesignSpec(
+            n=values["n"], m=m_grid[0], gamma=values["gamma"], family=template_family,
+            allow_multi=template_multi,
+        )
         trial = TrialConfig(
             design=design,
-            prior=prior,
-            channel=channel,
-            epsilon=_float("epsilon"),
-            base_seed=seed,
-            p_for_threshold=_float("p_for_threshold"),
+            prior=FixedPrior(values["k"]) if "k" in values else BernoulliPrior(values["p"]),
+            channel=ChannelMatrix(s11=values.get("s11", 1.0), s01=values.get("s01", 0.0)),
+            epsilon=values["epsilon"],
+            base_seed=values["seed"],
+            p_for_threshold=values.get("p_for_threshold"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
-    return SweepConfig(trial, m_grid, families, trials, raw)
+    if values["trials"] < 1:
+        raise ConfigError(f"trials must be at least 1, got {values['trials']}")
+    return SweepConfig(trial, m_grid, families, values["trials"], raw)
 
 
 def _format_csv_float(value: float) -> str:
@@ -442,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help=f"worker processes (default: ${_WORKERS_ENV} or CPU count)",
+        help=f"worker processes (default: ${_WORKERS_ENV} or the usable CPU count)",
     )
     sweep.set_defaults(func=cmd_sweep)
     return parser

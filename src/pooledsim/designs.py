@@ -89,8 +89,9 @@ class PoolingGraph:
     """Bipartite multigraph between agents and queries.
 
     Edges are stored as unique (agent, query) pairs with multiplicities, sorted
-    lexicographically.  ``gamma`` carries the design's nominal agents-per-query
-    so decoder centering can be computed from the graph alone.
+    lexicographically, in three read-only arrays.  ``gamma`` carries the
+    design's nominal agents-per-query so decoder centering can be computed
+    from the graph alone.
     """
 
     n_agents: int
@@ -99,6 +100,10 @@ class PoolingGraph:
     edge_agents: np.ndarray
     edge_queries: np.ndarray
     edge_mult: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.edge_agents, self.edge_queries, self.edge_mult):
+            arr.setflags(write=False)
 
     @classmethod
     def from_pairs(
@@ -121,18 +126,7 @@ class PoolingGraph:
                 raise ValueError("query index out of range")
         keys = agents * np.int64(n_queries) + queries
         uniq, mult = np.unique(keys, return_counts=True)
-        ea = uniq // n_queries
-        eq = uniq % n_queries
-        for arr in (ea, eq, mult):
-            arr.setflags(write=False)
-        return cls(
-            n_agents=n_agents,
-            n_queries=n_queries,
-            gamma=gamma,
-            edge_agents=ea,
-            edge_queries=eq,
-            edge_mult=mult,
-        )
+        return cls(n_agents, n_queries, gamma, uniq // n_queries, uniq % n_queries, mult)
 
     @cached_property
     def agent_degrees(self) -> np.ndarray:
@@ -157,34 +151,17 @@ class PoolingGraph:
         deg.setflags(write=False)
         return deg
 
-    @property
-    def total_reads(self) -> int:
-        return int(self.edge_mult.sum())
-
-    @property
-    def is_simple(self) -> bool:
-        return bool(self.edge_mult.size == 0 or self.edge_mult.max() == 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PoolingGraph):
-            return NotImplemented
-        return (
-            self.n_agents == other.n_agents
-            and self.n_queries == other.n_queries
-            and self.gamma == other.gamma
-            and np.array_equal(self.edge_agents, other.edge_agents)
-            and np.array_equal(self.edge_queries, other.edge_queries)
-            and np.array_equal(self.edge_mult, other.edge_mult)
-        )
-
 
 def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
     """Generate a pooling graph for any design family."""
     if spec.family == "bernoulli":
         return _generate_bernoulli(spec, rng)
     if spec.family == "one_sided_regular":
-        return _generate_one_sided(spec, rng)
-    return _generate_doubly_regular(spec, rng)
+        members = _one_sided_members(spec, rng)
+    else:
+        members = _doubly_regular_members(spec, rng)
+    queries = np.repeat(np.arange(spec.m, dtype=np.int64), spec.gamma)
+    return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, members.ravel(), queries)
 
 
 def _generate_bernoulli(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
@@ -217,21 +194,18 @@ def _uniform_subsets(n: int, m: int, gamma: int, rng: np.random.Generator) -> np
     return out
 
 
-def _generate_one_sided(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
-    """Every query independently draws gamma agents.
+def _one_sided_members(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
+    """Every query independently draws gamma agents; returns the (m, gamma) members.
 
     The multi variant draws with replacement, the simple variant draws a
     uniform gamma-subset.
     """
     if spec.allow_multi:
-        members = rng.integers(0, spec.n, size=(spec.m, spec.gamma))
-    else:
-        members = _uniform_subsets(spec.n, spec.m, spec.gamma, rng)
-    queries = np.repeat(np.arange(spec.m, dtype=np.int64), spec.gamma)
-    return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, members.ravel(), queries)
+        return rng.integers(0, spec.n, size=(spec.m, spec.gamma))
+    return _uniform_subsets(spec.n, spec.m, spec.gamma, rng)
 
 
-def _generate_doubly_regular(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
+def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
     """Configuration model matching gamma-regular queries to a balanced degree sequence.
 
     The m * gamma query-side stubs are matched positionally against a uniformly
@@ -248,8 +222,7 @@ def _generate_doubly_regular(spec: DesignSpec, rng: np.random.Generator) -> Pool
     del agent_stubs
     if not spec.allow_multi:
         members = _repair_slots(members, spec.n, rng)
-    slot_queries = np.repeat(np.arange(spec.m, dtype=np.int64), spec.gamma)
-    return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, members.ravel(), slot_queries)
+    return members
 
 
 def _pair_counts(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -264,6 +237,12 @@ def _pair_counts(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
         index, probes, side="left"
     )
     return counts
+
+
+def _repeated(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``values`` that occur more than once in it."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return counts[inverse] > 1
 
 
 def _repair_slots(
@@ -324,50 +303,36 @@ def _repair_slots(
         a = pending // gamma
         v = agents[partners]
         b = partners // gamma
-        new_ub = b * n + u
-        new_va = a * n + v
 
-        probes = np.concatenate([new_ub, new_va])
-        ub_count, va_count = _pair_counts(flat_index, probes).reshape(2, -1)
-        ok = (u != v) & (a != b) & (ub_count == 0) & (va_count == 0)
-        # No two swaps in a batch may touch the same slot ...
-        touched, touched_counts = np.unique(np.concatenate([pending, partners]), return_counts=True)
-        busy = touched[touched_counts > 1]
-        if busy.size:
-            ok &= ~np.isin(pending, busy)
-            ok &= ~np.isin(partners, busy)
-        # ... nor create the same new pair.
-        proposed, proposed_counts = np.unique(np.concatenate([new_ub, new_va]), return_counts=True)
-        clashing = proposed[proposed_counts > 1]
-        if clashing.size:
-            ok &= ~np.isin(new_ub, clashing)
-            ok &= ~np.isin(new_va, clashing)
+        # A swap is blocked when a new pair (u, b) or (v, a) already exists,
+        # when it shares a slot with another swap of the batch, or when it
+        # creates the same new pair as another swap.
+        probes = np.concatenate([b * n + u, a * n + v])
+        slots = np.concatenate([pending, partners])
+        blocked = (_pair_counts(flat_index, probes) > 0) | _repeated(slots) | _repeated(probes)
+        ok = (u != v) & (a != b) & ~blocked.reshape(2, -1).any(axis=0)
 
         applied = np.flatnonzero(ok)
-        if applied.size:
-            agents[pending[applied]] = v[applied]
-            agents[partners[applied]] = u[applied]
-            changed = np.unique(np.concatenate([a[applied], b[applied]]))
-            resorted = members[changed]
-            resorted.sort(axis=1)
-            resorted += row_keys[changed]
-            index[changed] = resorted
+        agents[pending[applied]] = v[applied]
+        agents[partners[applied]] = u[applied]
+        changed = np.unique(np.concatenate([a[applied], b[applied]]))
+        resorted = members[changed]
+        resorted.sort(axis=1)
+        resorted += row_keys[changed]
+        index[changed] = resorted
 
         # A rejected slot kept its agent (a slot both pending and a partner is
-        # busy), so the survivors stay in (agent * m + query, slot) order with
-        # the copies of one pair adjacent.
+        # blocked), so the survivors stay in (agent * m + query, slot) order
+        # with the copies of one pair adjacent.  Partner-side rewires can
+        # shrink a pair's multiplicity, so cap the surviving repair slots at
+        # (current multiplicity - 1) per pair.
         remaining = pending[~ok]
-        if remaining.size:
-            # Partner-side rewires can shrink a pair's multiplicity, so cap the
-            # surviving repair slots at (current multiplicity - 1) per pair.
-            rem_keys = (remaining // gamma) * n + agents[remaining]
-            run_start = np.flatnonzero(np.diff(rem_keys, prepend=-1))
-            run_len = np.diff(run_start, append=remaining.size)
-            surplus = _pair_counts(flat_index, rem_keys[run_start]) - 1
-            pos_in_run = np.arange(remaining.size) - np.repeat(run_start, run_len)
-            pending = remaining[pos_in_run < np.repeat(surplus, run_len)]
-        else:
-            pending = remaining
+        rem_keys = (remaining // gamma) * n + agents[remaining]
+        run_start = np.flatnonzero(np.diff(rem_keys, prepend=-1))
+        run_len = np.diff(run_start, append=remaining.size)
+        surplus = _pair_counts(flat_index, rem_keys[run_start]) - 1
+        pos_in_run = np.arange(remaining.size) - np.repeat(run_start, run_len)
+        pending = remaining[pos_in_run < np.repeat(surplus, run_len)]
 
     return members
 
@@ -409,14 +374,16 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
         header = next(it)
     except StopIteration:
         raise ValueError("empty edge-list input") from None
-    parts = header.split()
-    if len(parts) != 5:
-        raise ValueError(f"malformed header {header!r}, expected 'n m gamma family multi'")
-    n, m, gamma = (int(x) for x in parts[:3])
-    family = parts[3]
-    if parts[4] not in ("true", "false"):
-        raise ValueError(f"malformed multi flag {parts[4]!r}, expected 'true' or 'false'")
-    allow_multi = parts[4] == "true"
+    try:
+        n, m, gamma, family, flag = header.split()
+        n, m, gamma = int(n), int(m), int(gamma)
+    except ValueError:
+        raise ValueError(
+            f"malformed header {header!r}, expected 'n m gamma family multi'"
+        ) from None
+    if flag not in ("true", "false"):
+        raise ValueError(f"malformed multi flag {flag!r}, expected 'true' or 'false'")
+    allow_multi = flag == "true"
     spec = DesignSpec(n=n, m=m, gamma=gamma, family=family, allow_multi=allow_multi)
     agents: list[int] = []
     queries: list[int] = []
@@ -427,11 +394,15 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
         if not fields:
             blank_lines.append(lineno)
             continue
-        if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 'agent query multiplicity' triple")
-        agents.append(int(fields[0]))
-        queries.append(int(fields[1]))
-        mults.append(int(fields[2]))
+        try:
+            agent, query, mult = fields
+            agents.append(int(agent))
+            queries.append(int(query))
+            mults.append(int(mult))
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected an integer 'agent query multiplicity' triple"
+            ) from None
     agent_arr = np.asarray(agents, dtype=np.int64)
     query_arr = np.asarray(queries, dtype=np.int64)
     mult_arr = np.asarray(mults, dtype=np.int64)
@@ -456,9 +427,8 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
                 lineno += blank <= lineno
             raise ValueError(f"line {lineno}: {rule}")
 
-    graph = PoolingGraph.from_pairs(
-        n, m, gamma, np.repeat(agent_arr, mult_arr), np.repeat(query_arr, mult_arr)
-    )
+    # The rules above make the triples canonical: they are the graph's arrays.
+    graph = PoolingGraph(n, m, gamma, agent_arr, query_arr, mult_arr)
     if family == "doubly_regular":
         off = np.flatnonzero(graph.query_degrees != gamma)
         if off.size:

@@ -75,19 +75,14 @@ class GroundTruth:
     def n(self) -> int:
         return self.bits.size
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroundTruth):
-            return NotImplemented
-        return self.ones == other.ones and np.array_equal(self.bits, other.bits)
-
 
 @dataclass(frozen=True)
 class ChannelMatrix:
     """Read-noise channel: probabilities of reading a sent bit as one.
 
     ``s11`` is the probability that a one-bit is read as one and ``s01`` the
-    probability that a zero-bit is read as one.  The complementary entries
-    ``s10 = 1 - s11`` and ``s00 = 1 - s01`` are derived.  A channel is only
+    probability that a zero-bit is read as one; the complementary entries are
+    ``s10 = 1 - s11`` and ``s00 = 1 - s01``.  A channel is only
     valid when reading a one is strictly more likely for a true one-bit,
     i.e. ``s11 - s01 > 0``.
     """
@@ -103,14 +98,6 @@ class ChannelMatrix:
             raise ValueError(
                 f"channel must satisfy s11 - s01 > 0, got s11={self.s11}, s01={self.s01}"
             )
-
-    @property
-    def s10(self) -> float:
-        return 1.0 - self.s11
-
-    @property
-    def s00(self) -> float:
-        return 1.0 - self.s01
 
     @classmethod
     def identity(cls) -> "ChannelMatrix":

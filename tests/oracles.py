@@ -15,6 +15,17 @@ import pooledsim.designs as designs
 from pooledsim.designs import PoolingGraph, SimplificationError
 
 
+def is_simple(graph: PoolingGraph) -> bool:
+    """True when no (agent, query) pair carries more than one edge."""
+    return bool((graph.edge_mult == 1).all())
+
+
+def same_graph(a: PoolingGraph, b: PoolingGraph) -> bool:
+    """True when both graphs have the same sizes, gamma and edge arrays."""
+    fields = ("n_agents", "n_queries", "gamma", "edge_agents", "edge_queries", "edge_mult")
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in fields)
+
+
 def read_bit(bit: int, channel, rng: np.random.Generator) -> int:
     """One read of a single bit through the channel; independent across calls."""
     prob = channel.s11 if bit else channel.s01
@@ -30,7 +41,7 @@ def simplify(graph: PoolingGraph, rng: np.random.Generator) -> PoolingGraph:
     needs every query to have the same degree; a non-simple graph whose query
     degrees differ raises ValueError.
     """
-    if graph.is_simple:
+    if is_simple(graph):
         return graph
     degrees = graph.query_degrees
     if int(degrees.min()) != int(degrees.max()):

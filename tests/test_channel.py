@@ -56,6 +56,13 @@ def test_run_queries_counts_multiplicity():
     assert out.results.tolist() == [2]
 
 
+def test_run_queries_rejects_truth_of_wrong_length():
+    graph = graph_from_pairs(3, 1, 3, [(0, 0), (1, 0), (2, 0)])
+    truth = GroundTruth.from_bits(np.array([1, 0]))
+    with pytest.raises(ValueError, match="truth has 2 agents but graph has 3"):
+        run_queries(graph, truth, ChannelMatrix.identity(), np.random.default_rng(0))
+
+
 def test_run_queries_z_channel_mean():
     # One query of five one-bits through a Z-channel with s11 = 0.8; resampling
     # the noise 1e5 times is the same as 1e5 identical queries.

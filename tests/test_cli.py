@@ -1,9 +1,10 @@
 import json
+import os
 
 import pytest
 
 import pooledsim.designs
-from pooledsim.cli import _write_atomic, main, parse_sweep_config, ConfigError
+from pooledsim.cli import _default_workers, _write_atomic, main, parse_sweep_config, ConfigError
 from pooledsim.designs import SimplificationError, read_edge_list
 
 
@@ -72,7 +73,7 @@ def test_generate_deterministic_bytes_and_round_trip(tmp_path):
     assert text.splitlines()[0] == "4 2 2 doubly_regular false"
     spec, graph = read_edge_list(text.splitlines())
     assert spec.n == 4 and spec.m == 2 and spec.gamma == 2
-    assert graph.total_reads == 4
+    assert int(graph.edge_mult.sum()) == 4
 
 
 def test_generate_simplification_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
@@ -192,6 +193,29 @@ def test_sweep_rejects_conflicting_priors(tmp_path, capsys):
     assert code == 2
 
 
+def test_default_workers_env_then_affinity_then_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    monkeypatch.delenv("POOLEDSIM_WORKERS", raising=False)
+    assert _default_workers() == 2
+    monkeypatch.setenv("POOLEDSIM_WORKERS", "3")
+    assert _default_workers() == 3
+    monkeypatch.delenv("POOLEDSIM_WORKERS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _default_workers() == 7
+
+
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_sweep_rejects_bad_workers_env(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("POOLEDSIM_WORKERS", value)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", str(cfg), "--output", str(out)])
+    assert code == 2
+    assert "POOLEDSIM_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ config parser
 
 
@@ -223,6 +247,35 @@ def test_parse_sweep_config_line_numbers_in_errors():
     broken = "n = 60\nnope\n"
     with pytest.raises(ConfigError, match="line 2"):
         parse_sweep_config(broken)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("40,80,120", "40:120", "line 10: key 'm_grid': m_grid range must be start:stop:step"),
+        ("40,80,120", "120:40:10", "is empty or has non-positive step"),
+        ("40,80,120", "40:120:0", "is empty or has non-positive step"),
+        ("40,80,120", ",", "at least one query count"),
+        ("40,80,120", "40,abc", r"line 10: key 'm_grid': invalid literal for int\(\)"),
+        ("bernoulli\n", "nope\n", "line 11: key 'families': unknown family 'nope'"),
+        ("bernoulli\n", "bernoulli/dense\n", "variant must be 'simple' or 'multi'"),
+        ("doubly_regular/simple, bernoulli", ",", "at least one design family"),
+        ("gamma = 6", "gamma =", "line 4: key 'gamma' has no value"),
+        ("gamma = 6", "gamma = six", "line 4: key 'gamma': invalid literal for int"),
+        ("s11 = 1.0", "s11 = high", "line 5: key 's11': could not convert"),
+        ("k = 4", "k = 0", r"decoder prior must lie in \(0, 1\)"),
+        ("trials = 4", "trials = 0", "trials must be at least 1"),
+    ],
+    ids=[
+        "range-shape", "range-empty", "range-step", "grid-empty", "grid-non-integer",
+        "unknown-family", "bad-variant", "families-empty", "empty-value", "int-non-numeric",
+        "float-non-numeric", "prior-rejected", "zero-trials",
+    ],
+)
+def test_parse_sweep_config_rejects_bad_values(old, new, message):
+    assert old in SWEEP_CONFIG
+    with pytest.raises(ConfigError, match=message):
+        parse_sweep_config(SWEEP_CONFIG.replace(old, new))
 
 
 def test_parse_sweep_config_duplicate_key():

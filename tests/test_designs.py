@@ -6,7 +6,7 @@ import scipy.stats
 from scipy.special import gammaln
 
 import pooledsim.designs
-from oracles import repair_slots_reference, simplify
+from oracles import is_simple, repair_slots_reference, same_graph, simplify
 from pooledsim.designs import (
     DesignSpec,
     PoolingGraph,
@@ -101,17 +101,17 @@ def test_doubly_regular_degree_one_agents():
     rng = np.random.default_rng(1)
     spec = DesignSpec(n=4, m=2, gamma=2, family="doubly_regular", allow_multi=True)
     graph = generate(spec, rng)
-    assert graph.total_reads == 4
+    assert int(graph.edge_mult.sum()) == 4
     assert graph.query_degrees.tolist() == [2, 2]
     assert graph.agent_degrees.tolist() == [1, 1, 1, 1]
-    assert graph.is_simple
+    assert is_simple(graph)
 
 
 def test_doubly_regular_forced_totals_single_query():
     rng = np.random.default_rng(2)
     spec = DesignSpec(n=2, m=1, gamma=4, family="doubly_regular", allow_multi=True)
     graph = generate(spec, rng)
-    assert graph.total_reads == 4
+    assert int(graph.edge_mult.sum()) == 4
     assert graph.query_degrees.tolist() == [4]
     assert int(graph.agent_degrees.sum()) == 4
 
@@ -175,7 +175,7 @@ def test_one_sided_simple_full_subset():
     spec = DesignSpec(n=3, m=1, gamma=3, family="one_sided_regular", allow_multi=False)
     graph = generate(spec, rng)
     assert graph.edge_agents.tolist() == [0, 1, 2]
-    assert graph.is_simple
+    assert is_simple(graph)
 
 
 def test_one_sided_regular_query_degrees():
@@ -185,7 +185,7 @@ def test_one_sided_regular_query_degrees():
         graph = generate(spec, rng)
         assert (graph.query_degrees == 7).all()
         if not multi:
-            assert graph.is_simple
+            assert is_simple(graph)
 
 
 def test_one_sided_multi_self_pair_rate():
@@ -208,7 +208,7 @@ def test_bernoulli_complete_graph():
     rng = np.random.default_rng(6)
     spec = DesignSpec(n=4, m=2, gamma=4, family="bernoulli")
     graph = generate(spec, rng)
-    assert graph.total_reads == 8
+    assert int(graph.edge_mult.sum()) == 8
     assert (graph.query_degrees == 4).all()
     assert (graph.agent_degrees == 2).all()
 
@@ -236,7 +236,7 @@ def test_simplify_keeps_simple_graph_unchanged():
 def test_simplify_forced_four_cycle():
     graph = graph_from_pairs(2, 2, 2, [(0, 0), (0, 0), (1, 1), (1, 1)])
     out = simplify(graph, np.random.default_rng(12))
-    assert out.is_simple
+    assert is_simple(out)
     assert out.edge_agents.tolist() == [0, 0, 1, 1]
     assert out.edge_queries.tolist() == [0, 1, 0, 1]
     assert out.edge_mult.tolist() == [1, 1, 1, 1]
@@ -262,7 +262,7 @@ def test_simplify_preserves_degrees_over_many_runs():
     for _ in range(1000):
         graph = generate(spec, rng)
         out = simplify(graph, rng)
-        assert out.is_simple
+        assert is_simple(out)
         assert np.array_equal(out.agent_degrees, graph.agent_degrees)
         assert np.array_equal(out.query_degrees, graph.query_degrees)
         successes += 1
@@ -354,9 +354,23 @@ def test_generate_doubly_regular_simple_variant_is_simple():
     rng = np.random.default_rng(15)
     spec = DesignSpec(n=30, m=20, gamma=12, family="doubly_regular", allow_multi=False)
     graph = generate(spec, rng)
-    assert graph.is_simple
+    assert is_simple(graph)
     assert (graph.query_degrees == 12).all()
     assert graph.distinct_agent_degrees.tolist() == graph.agent_degrees.tolist()
+
+
+@pytest.mark.parametrize(
+    "agents, queries, message",
+    [
+        ([0, 1], [0], "differ in length"),
+        ([2], [0], "agent index out of range"),
+        ([-1], [0], "agent index out of range"),
+        ([0], [3], "query index out of range"),
+    ],
+)
+def test_from_pairs_rejects_bad_pairs(agents, queries, message):
+    with pytest.raises(ValueError, match=message):
+        PoolingGraph.from_pairs(2, 3, 1, np.array(agents), np.array(queries))
 
 
 # ----------------------------------------------------------- distinct degrees
@@ -398,7 +412,7 @@ def test_edge_list_round_trip_and_header():
     assert text.splitlines()[0] == "4 2 2 doubly_regular false"
     spec_back, graph_back = read_edge_list(io.StringIO(text))
     assert spec_back == spec
-    assert graph_back == graph
+    assert same_graph(graph_back, graph)
 
 
 def test_edge_list_round_trip_with_multiplicities():
@@ -407,7 +421,8 @@ def test_edge_list_round_trip_with_multiplicities():
     write_edge_list(buf, graph, "one_sided_regular", True)
     spec_back, graph_back = read_edge_list(io.StringIO(buf.getvalue()))
     assert spec_back.allow_multi
-    assert graph_back == graph
+    assert same_graph(graph_back, graph)
+    assert not graph_back.edge_mult.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -424,10 +439,13 @@ def test_edge_list_round_trip_with_multiplicities():
         ("2 1 2 one_sided_regular false\n\n1 0 1\n0 0 1\n", "line 4: precedes the line before"),
         ("3 2 2 doubly_regular false\n0 0 1\n1 0 1\n1 1 1\n", "query 1 has degree 1, expected gamma=2"),
         ("2 1 2 one_sided_regular false\n0 0 1\n5 0 1\n", r"line 3: agent outside 0\.\.1"),
+        ("x 1 2 one_sided_regular true\n", "malformed header"),
+        ("2 1 2 one_sided_regular true\n\n0 x 1\n", "line 3: expected an integer"),
+        ("2 1 2 one_sided_regular true\n0 0 1.0\n", "line 2: expected an integer"),
     ],
     ids=[
         "no-multi-flag", "empty", "multi-false", "mult-zero", "duplicate", "unsorted", "dr-degree",
-        "agent-range",
+        "agent-range", "header-non-integer", "query-non-integer", "mult-non-integer",
     ],
 )
 def test_edge_list_rejects_malformed_header(text, message):

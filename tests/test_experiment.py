@@ -3,7 +3,7 @@ import pytest
 
 import pooledsim.experiment
 from pooledsim.decoder import required_queries
-from pooledsim.designs import DesignSpec
+from pooledsim.designs import DesignSpec, SimplificationError
 from pooledsim.experiment import (
     TrialConfig,
     derive_seed,
@@ -119,6 +119,18 @@ def test_run_trial_below_m_floor_builds_no_design(monkeypatch):
     assert detail.result.failure == "threshold_undefined"
     assert detail.result.hamming == detail.truth.ones
     assert np.array_equal(detail.truth.bits, expected.truth.bits)
+    assert detail.scores is None and detail.estimate is None
+
+
+def test_run_trial_simplification_failure_is_tagged_not_raised(monkeypatch):
+    def no_simple_design(*args, **kwargs):
+        raise SimplificationError("forced for the test")
+
+    monkeypatch.setattr(pooledsim.experiment, "generate", no_simple_design)
+    detail = run_trial_detailed(make_config(), 400, 0)
+    assert detail.result.failure == "simplification_failed"
+    assert not detail.result.success90 and not detail.result.eps_ok
+    assert detail.result.hamming == detail.truth.ones == 5
     assert detail.scores is None and detail.estimate is None
 
 
