@@ -203,7 +203,6 @@ class SweepConfig:
 
 
 def _parse_m_grid(text: str) -> list[int]:
-    text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -211,10 +210,11 @@ def _parse_m_grid(text: str) -> list[int]:
         start, stop, step = (int(x) for x in parts)
         if step < 1 or stop < start:
             raise ConfigError(f"m_grid range {text!r} is empty or has non-positive step")
-        return list(range(start, stop + 1, step))
-    values = [int(x) for x in text.split(",") if x.strip()]
-    if not values:
-        raise ConfigError("m_grid must list at least one query count")
+        values = list(range(start, stop + 1, step))
+    else:
+        values = [int(x) for x in text.split(",") if x.strip()]
+    if not values or min(values) < 1:
+        raise ConfigError(f"m_grid must list at least one query count, all >= 1, got {text!r}")
     return values
 
 

@@ -6,6 +6,7 @@ canonical on-disk edge-list format.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -370,10 +371,9 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     A body that :func:`write_edge_list` cannot have written raises ValueError.
     """
     it = iter(lines)
-    try:
-        header = next(it)
-    except StopIteration:
-        raise ValueError("empty edge-list input") from None
+    header = next(it, None)
+    if header is None:
+        raise ValueError("empty edge-list input")
     try:
         n, m, gamma, family, flag = header.split()
         n, m, gamma = int(n), int(m), int(gamma)
@@ -385,28 +385,18 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
         raise ValueError(f"malformed multi flag {flag!r}, expected 'true' or 'false'")
     allow_multi = flag == "true"
     spec = DesignSpec(n=n, m=m, gamma=gamma, family=family, allow_multi=allow_multi)
-    agents: list[int] = []
-    queries: list[int] = []
-    mults: list[int] = []
-    blank_lines: list[int] = []
-    for lineno, line in enumerate(it, start=2):
-        fields = line.split()
-        if not fields:
-            blank_lines.append(lineno)
-            continue
-        try:
-            agent, query, mult = fields
-            agents.append(int(agent))
-            queries.append(int(query))
-            mults.append(int(mult))
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: expected an integer 'agent query multiplicity' triple"
-            ) from None
-    agent_arr = np.asarray(agents, dtype=np.int64)
-    query_arr = np.asarray(queries, dtype=np.int64)
-    mult_arr = np.asarray(mults, dtype=np.int64)
-    del agents, queries, mults  # boxed ints: free them before the array work peaks
+    # One string; blank lines stay in it so that a failure maps back to its line.
+    body = "\n".join(map(str.strip, it))
+    columns = _columns(body)
+    if columns is None:
+        # Each line parses or not on its own: bisect for the first bad one.
+        body_lines = body.split("\n")
+        lo, hi = 0, len(body_lines)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _columns("\n".join(body_lines[lo:mid])) is None else (mid, hi)
+        raise ValueError(f"line {lo + 2}: expected an integer 'agent query multiplicity' triple")
+    agent_arr, query_arr, mult_arr = columns
 
     # Each edge against the one before it; the first edge steps by 1.
     step_a = np.diff(agent_arr, prepend=agent_arr[:1] - 1)
@@ -421,11 +411,9 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     ]
     for rule, bad in rules:
         if bad.any():
-            # Edge i sits on line i + 2, moved down by each blank line above it.
-            lineno = int(np.argmax(bad)) + 2
-            for blank in blank_lines:
-                lineno += blank <= lineno
-            raise ValueError(f"line {lineno}: {rule}")
+            # Edge i is the (i + 1)-th non-blank body line.
+            edge_lines = [no for no, line in enumerate(body.split("\n"), start=2) if line]
+            raise ValueError(f"line {edge_lines[int(np.argmax(bad))]}: {rule}")
 
     # The rules above make the triples canonical: they are the graph's arrays.
     graph = PoolingGraph(n, m, gamma, agent_arr, query_arr, mult_arr)
@@ -438,3 +426,14 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
                 f"expected gamma={gamma}"
             )
     return spec, graph
+
+
+def _columns(body: str) -> np.ndarray | None:
+    """``(3, E)`` int64 rows of ``body``'s lines; None unless each is blank or three int64s."""
+    if not body.strip():  # loadtxt warns on an input without data
+        return np.empty((3, 0), dtype=np.int64)
+    try:  # comments=None: '#' is a bad field, not the start of a comment
+        rows = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return np.ascontiguousarray(rows.T) if rows.shape[1] == 3 else None

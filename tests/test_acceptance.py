@@ -6,7 +6,11 @@ see notes in the repository docs for the measured behaviour of the
 per-agent-centered decoder on those orderings.
 """
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import mpmath
 import numpy as np
@@ -112,9 +116,13 @@ def soundness_failure_upper(channel, seed):
         p_for_threshold=p,
     )
     trials = 200
-    failures = sum(
-        not run_trial(config, bound_report.m_min, index).eps_ok for index in range(trials)
-    )
+    # Trials are independent and seeded by index, so a pool changes no result.
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(len(os.sched_getaffinity(0)), mp_context=spawn) as pool:
+        results = pool.map(
+            run_trial, repeat(config, trials), repeat(bound_report.m_min, trials), range(trials)
+        )
+        failures = sum(not result.eps_ok for result in results)
     _, upper = wilson_interval(failures, trials)
     return bound_report.m_min, failures, upper
 

@@ -265,11 +265,13 @@ def test_parse_sweep_config_line_numbers_in_errors():
         ("s11 = 1.0", "s11 = high", "line 5: key 's11': could not convert"),
         ("k = 4", "k = 0", r"decoder prior must lie in \(0, 1\)"),
         ("trials = 4", "trials = 0", "trials must be at least 1"),
+        ("40,80,120", "40,0", r"line 10: key 'm_grid': .*all >= 1, got '40,0'"),
+        ("40,80,120", "0:100:50", r"line 10: key 'm_grid': .*all >= 1, got '0:100:50'"),
     ],
     ids=[
         "range-shape", "range-empty", "range-step", "grid-empty", "grid-non-integer",
         "unknown-family", "bad-variant", "families-empty", "empty-value", "int-non-numeric",
-        "float-non-numeric", "prior-rejected", "zero-trials",
+        "float-non-numeric", "prior-rejected", "zero-trials", "grid-zero", "range-from-zero",
     ],
 )
 def test_parse_sweep_config_rejects_bad_values(old, new, message):

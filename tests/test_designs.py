@@ -414,15 +414,30 @@ def test_edge_list_round_trip_and_header():
     assert spec_back == spec
     assert same_graph(graph_back, graph)
 
+    # a header-only file is a Bernoulli design without edges
+    spec_back, graph_back = read_edge_list(["3 2 1 bernoulli false"])
+    assert spec_back == DesignSpec(n=3, m=2, gamma=1, family="bernoulli")
+    assert graph_back.edge_mult.dtype == np.int64
+    assert graph_back.agent_degrees.tolist() == [0, 0, 0]
+
 
 def test_edge_list_round_trip_with_multiplicities():
     graph = graph_from_pairs(3, 2, 4, [(0, 0), (0, 0), (1, 0), (2, 1), (2, 1), (2, 1)])
     buf = io.StringIO()
     write_edge_list(buf, graph, "one_sided_regular", True)
-    spec_back, graph_back = read_edge_list(io.StringIO(buf.getvalue()))
-    assert spec_back.allow_multi
-    assert same_graph(graph_back, graph)
-    assert not graph_back.edge_mult.flags.writeable
+    text = buf.getvalue()
+    blank = text.replace("\n", "\n \t\n", 2)  # whitespace-only lines in the body
+    inputs = [
+        io.StringIO(text),
+        io.StringIO(blank),
+        io.StringIO(text.replace("\n", "\r\n")),  # CRLF line ends
+        blank.splitlines(),  # lines without terminators, one of them blank
+    ]
+    for lines in inputs:
+        spec_back, graph_back = read_edge_list(lines)
+        assert spec_back.allow_multi
+        assert same_graph(graph_back, graph)
+        assert not graph_back.edge_mult.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -442,10 +457,20 @@ def test_edge_list_round_trip_with_multiplicities():
         ("x 1 2 one_sided_regular true\n", "malformed header"),
         ("2 1 2 one_sided_regular true\n\n0 x 1\n", "line 3: expected an integer"),
         ("2 1 2 one_sided_regular true\n0 0 1.0\n", "line 2: expected an integer"),
+        (
+            "2 1 2 bernoulli false\n99999999999999999999 0 1\n",
+            "line 2: expected an integer 'agent query multiplicity' triple",
+        ),
+        ("2 1 2 one_sided_regular true\n0 0 1\n1 0 1 # x\n", "line 3: expected an integer"),
+        ("2 1 2 one_sided_regular true\n0 0 1\n\n1 0\n", "line 4: expected an integer"),
+        ("2 1 2 one_sided_regular true\n0 0 1\n1 0 1 1\n", "line 3: expected an integer"),
+        # Python's int() reads 1_0 as 10; the edge-list format takes ASCII digits only
+        ("20 1 2 one_sided_regular true\n1_0 0 1\n", "line 2: expected an integer"),
     ],
     ids=[
         "no-multi-flag", "empty", "multi-false", "mult-zero", "duplicate", "unsorted", "dr-degree",
         "agent-range", "header-non-integer", "query-non-integer", "mult-non-integer",
+        "int64-overflow", "comment", "two-fields", "four-fields", "underscore-digits",
     ],
 )
 def test_edge_list_rejects_malformed_header(text, message):
