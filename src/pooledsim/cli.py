@@ -1,8 +1,9 @@
 """Command-line surface: bound calculators, one-shot simulations, figure-style sweeps.
 
-Exit codes: 0 success, 2 argument/config error, 3 runtime failure.  All file
-output is UTF-8 with LF line endings and bit-exact reproducible from the
-arguments (including the seed).
+Exit codes: 0 success, 2 invalid flags, config file or environment (a
+:class:`ConfigError`), 3 swap-repair failure or I/O error; any other
+exception is a bug and propagates.  All file output is UTF-8 with LF line
+endings and bit-exact reproducible from the arguments (including the seed).
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -44,13 +46,24 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 CSV_COLUMNS = (
-    "family,multi,n,k,p,s11,s01,gamma,m,trials,"
-    "success_rate,ci_low,ci_high,mean_overlap,failures,seed"
+    "family", "multi", "n", "k", "p", "s11", "s01", "gamma", "m", "trials",
+    "success_rate", "ci_low", "ci_high", "mean_overlap", "failures", "seed",
 )
 
 
 class ConfigError(ValueError):
-    """Sweep config file did not parse; message carries line/field context."""
+    """Invalid user input (flags, config file, environment); exit code 2."""
+
+
+@contextmanager
+def _user_input():
+    """Report a ValueError raised while reading user input as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _default_workers() -> int:
@@ -73,9 +86,40 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s01", type=float, default=0.0, help="P(read 1 | sent 0)")
 
 
+def _add_design_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--gamma", type=int, required=True)
+    parser.add_argument("--family", choices=FAMILIES, required=True)
+    parser.add_argument("--multi", action="store_true")
+    parser.add_argument("--seed", type=int, required=True)
+
+
+def _design(args: argparse.Namespace) -> DesignSpec:
+    return DesignSpec(
+        n=args.n, m=args.m, gamma=args.gamma, family=args.family, allow_multi=args.multi
+    )
+
+
+def _trial_config(values: dict, design: DesignSpec) -> TrialConfig:
+    """The TrialConfig that sweep-config keys (or simulate's flags) describe."""
+    k, p = values.get("k"), values.get("p")
+    if (k is None) == (p is None):
+        raise ConfigError("exactly one of k and p must be set")
+    return TrialConfig(
+        design=design,
+        prior=FixedPrior(k) if k is not None else BernoulliPrior(p),
+        channel=ChannelMatrix(s11=values.get("s11", 1.0), s01=values.get("s01", 0.0)),
+        epsilon=values["epsilon"],
+        base_seed=values["seed"],
+        p_for_threshold=values.get("p_for_threshold"),
+    )
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
-    channel = ChannelMatrix(s11=args.s11, s01=args.s01)
-    report = required_queries(args.n, args.p, args.eps, args.delta, channel)
+    with _user_input():
+        channel = ChannelMatrix(s11=args.s11, s01=args.s01)
+        report = required_queries(args.n, args.p, args.eps, args.delta, channel)
     print(f"rate constant L = {report.rate!r}")
     print(f"query bound (real) = {report.bound!r}")
     print(f"m_min = {report.m_min}")
@@ -86,7 +130,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     print(f"fp tail bound = {report.fp_tail!r}")
     print(f"fn tail bound = {report.fn_tail!r}")
     k = round(args.n * args.p)
-    if k >= 2:
+    if 2 <= k < args.n:
         print(f"counting bound m_PD (k = {k}) = {counting_bound(args.n, k)!r}")
     return EXIT_OK
 
@@ -107,10 +151,9 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = DesignSpec(
-        n=args.n, m=args.m, gamma=args.gamma, family=args.family, allow_multi=args.multi
-    )
-    rng = np.random.default_rng(args.seed)
+    with _user_input():
+        spec = _design(args)
+        rng = np.random.default_rng(args.seed)
     graph = generate(spec, rng)
     buffer = io.StringIO()
     write_edge_list(buffer, graph, spec.family, spec.allow_multi)
@@ -123,61 +166,30 @@ def _manifest(extra: dict) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    channel = ChannelMatrix(s11=args.s11, s01=args.s01)
-    if (args.k is None) == (args.p is None):
-        raise ValueError("exactly one of --k and --p must be given")
-    prior = FixedPrior(args.k) if args.k is not None else BernoulliPrior(args.p)
-    design = DesignSpec(
-        n=args.n, m=args.m, gamma=args.gamma, family=args.family, allow_multi=args.multi
-    )
-    config = TrialConfig(
-        design=design,
-        prior=prior,
-        channel=channel,
-        epsilon=args.eps,
-        base_seed=args.seed,
-        p_for_threshold=args.p_threshold,
-    )
-    _warn_gamma_window(design, config.resolved_p())
+    with _user_input():
+        config = _trial_config(vars(args), _design(args))
+    _warn_gamma_window(config.design, config.resolved_p())
     detail = run_trial_detailed(config, args.m, args.trial_index)
     result = detail.result
+    flags = ("n", "m", "gamma", "family", "multi", "k", "p", "s11", "s01", "epsilon", "seed",
+             "trial_index")
+    manifest = {flag: getattr(args, flag) for flag in flags}
     report = {
-        "manifest": _manifest(
-            {
-                "n": args.n,
-                "m": args.m,
-                "gamma": args.gamma,
-                "family": args.family,
-                "multi": args.multi,
-                "k": args.k,
-                "p": args.p,
-                "p_for_threshold": config.resolved_p(),
-                "s11": channel.s11,
-                "s01": channel.s01,
-                "epsilon": args.eps,
-                "seed": args.seed,
-                "trial_index": args.trial_index,
-            },
-        ),
+        "manifest": _manifest({**manifest, "p_for_threshold": config.resolved_p()}),
         "trial": asdict(result),
         "recovery": {
             "hamming": result.hamming,
             "overlap": result.overlap,
             "eps_ok": result.eps_ok,
-            "epsilon": args.eps,
+            "epsilon": args.epsilon,
         },
     }
     if args.dump_scores:
-        report["scores"] = _array_field(detail.scores)
-        report["centers"] = _array_field(detail.centers)
-        report["thresholds"] = _array_field(detail.thresholds)
-        report["estimate"] = _array_field(detail.estimate)
+        for name in ("scores", "centers", "thresholds", "estimate"):
+            array = getattr(detail, name)
+            report[name] = None if array is None else array.tolist()
     print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     return EXIT_OK
-
-
-def _array_field(arr: np.ndarray | None) -> list | None:
-    return None if arr is None else arr.tolist()
 
 
 def _warn_gamma_window(design: DesignSpec, p: float) -> None:
@@ -250,6 +262,7 @@ _SWEEP_KEYS = {
 _REQUIRED_SWEEP_KEYS = ("n", "gamma", "epsilon", "trials", "seed", "m_grid", "families")
 
 
+@_user_input()
 def parse_sweep_config(text: str) -> SweepConfig:
     """Parse the flat sweep config format; raises ConfigError with line context."""
     raw: dict[str, str] = {}
@@ -261,8 +274,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in _SWEEP_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
@@ -278,91 +290,63 @@ def parse_sweep_config(text: str) -> SweepConfig:
     for key in _REQUIRED_SWEEP_KEYS:
         if key not in raw:
             raise ConfigError(f"missing required key {key!r}")
-    if ("k" in raw) == ("p" in raw):
-        raise ConfigError("exactly one of 'k' and 'p' must be set")
 
     m_grid = values["m_grid"]
     families = values["families"]
-    # The design template's family/multi/m are placeholders; run_sweep
-    # overrides them per sweep point.
-    template_family, template_multi = families[0]
-    try:
-        design = DesignSpec(
-            n=values["n"], m=m_grid[0], gamma=values["gamma"], family=template_family,
-            allow_multi=template_multi,
-        )
-        trial = TrialConfig(
-            design=design,
-            prior=FixedPrior(values["k"]) if "k" in values else BernoulliPrior(values["p"]),
-            channel=ChannelMatrix(s11=values.get("s11", 1.0), s01=values.get("s01", 0.0)),
-            epsilon=values["epsilon"],
-            base_seed=values["seed"],
-            p_for_threshold=values.get("p_for_threshold"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # One spec per family checks them all; the first is the template, whose
+    # family/multi/m run_sweep overrides per sweep point.
+    designs = [
+        DesignSpec(n=values["n"], m=m_grid[0], gamma=values["gamma"], family=family,
+                   allow_multi=multi)
+        for family, multi in families
+    ]
+    trial = _trial_config(values, designs[0])
     if values["trials"] < 1:
         raise ConfigError(f"trials must be at least 1, got {values['trials']}")
     return SweepConfig(trial, m_grid, families, values["trials"], raw)
 
 
-def _format_csv_float(value: float) -> str:
-    return repr(float(value))
+def _csv_field(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else str(value)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
-    config = parse_sweep_config(text)
-    _warn_gamma_window(
-        config.trial.design, config.trial.resolved_p()
-    )
+    with _user_input():
+        config = parse_sweep_config(Path(args.config).read_text(encoding="utf-8"))
+    trial, channel = config.trial, config.trial.channel
+    _warn_gamma_window(trial.design, trial.resolved_p())
     workers = args.workers if args.workers is not None else _default_workers()
     rows = run_sweep(
-        config.trial, config.m_grid, config.families, config.trials_per_point, workers=workers
+        trial, config.m_grid, config.families, config.trials_per_point, workers=workers
     )
-    prior = config.trial.prior
-    k_field = str(prior.k) if isinstance(prior, FixedPrior) else ""
-    p_field = _format_csv_float(config.trial.resolved_p())
-    channel = config.trial.channel
-    lines = [CSV_COLUMNS]
+    shared = {
+        "n": trial.design.n, "gamma": trial.design.gamma, "seed": trial.base_seed,
+        "s11": channel.s11, "s01": channel.s01,
+    }
+    point = {
+        **shared,
+        "k": trial.prior.k if isinstance(trial.prior, FixedPrior) else None,
+        "p": trial.resolved_p(),
+    }
+    lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    row.family,
-                    "true" if row.multi else "false",
-                    str(config.trial.design.n),
-                    k_field,
-                    p_field,
-                    _format_csv_float(channel.s11),
-                    _format_csv_float(channel.s01),
-                    str(config.trial.design.gamma),
-                    str(row.m),
-                    str(row.trials),
-                    _format_csv_float(row.success_rate),
-                    _format_csv_float(row.ci_low),
-                    _format_csv_float(row.ci_high),
-                    _format_csv_float(row.mean_overlap),
-                    str(row.failures),
-                    str(config.trial.base_seed),
-                )
-            )
-        )
+        fields = {**point, **asdict(row)}
+        lines.append(",".join(_csv_field(fields[column]) for column in CSV_COLUMNS))
     output = Path(args.output)
     _write_atomic(output, "\n".join(lines) + "\n")
     manifest = _manifest({
         "config": config.raw,
         "resolved": {
-            "n": config.trial.design.n,
-            "gamma": config.trial.design.gamma,
-            "p_for_threshold": config.trial.resolved_p(),
-            "epsilon": config.trial.epsilon,
-            "seed": config.trial.base_seed,
+            **shared,
+            "p_for_threshold": trial.resolved_p(),
+            "epsilon": trial.epsilon,
             "m_grid": config.m_grid,
             "families": [[f, m] for f, m in config.families],
             "trials_per_point": config.trials_per_point,
-            "s11": channel.s11,
-            "s01": channel.s01,
         },
         "output": output.name,
     })
@@ -390,26 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.set_defaults(func=cmd_bounds)
 
     gen = sub.add_parser("generate", help="write a pooling graph as a canonical edge list")
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--gamma", type=int, required=True)
-    gen.add_argument("--family", choices=FAMILIES, required=True)
-    gen.add_argument("--multi", action="store_true")
-    gen.add_argument("--seed", type=int, required=True)
+    _add_design_args(gen)
     gen.add_argument("--output", required=True)
     gen.set_defaults(func=cmd_generate)
 
+    # simulate's flags take the sweep-config keys as dest, for _trial_config.
     sim = sub.add_parser("simulate", help="run one trial and print a JSON report")
-    sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--m", type=int, required=True)
-    sim.add_argument("--gamma", type=int, required=True)
-    sim.add_argument("--family", choices=FAMILIES, required=True)
-    sim.add_argument("--multi", action="store_true")
+    _add_design_args(sim)
     sim.add_argument("--k", type=int, default=None, help="fixed number of one-bits")
     sim.add_argument("--p", type=float, default=None, help="Bernoulli prior probability")
-    sim.add_argument("--p-threshold", type=float, default=None, dest="p_threshold")
-    sim.add_argument("--eps", type=float, required=True)
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--p-threshold", type=float, default=None, dest="p_for_threshold")
+    sim.add_argument("--eps", type=float, required=True, dest="epsilon")
     sim.add_argument("--trial-index", type=int, default=0)
     sim.add_argument("--dump-scores", action="store_true")
     _add_channel_args(sim)
@@ -429,11 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"pooledsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimplificationError, OSError) as exc:

@@ -7,7 +7,9 @@ canonical on-disk edge-list format.
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
@@ -132,16 +134,17 @@ class PoolingGraph:
     @cached_property
     def agent_degrees(self) -> np.ndarray:
         """Per-agent edge counts, multiplicities included."""
-        deg = np.bincount(self.edge_agents, weights=self.edge_mult, minlength=self.n_agents)
-        deg = deg.astype(np.int64)
-        deg.setflags(write=False)
-        return deg
+        return self._degrees(self.edge_agents, self.n_agents)
 
     @cached_property
     def query_degrees(self) -> np.ndarray:
         """Per-query edge counts, multiplicities included."""
-        deg = np.bincount(self.edge_queries, weights=self.edge_mult, minlength=self.n_queries)
-        deg = deg.astype(np.int64)
+        return self._degrees(self.edge_queries, self.n_queries)
+
+    def _degrees(self, ends: np.ndarray, size: int) -> np.ndarray:
+        """Exact int64 sums of the multiplicities at each endpoint, read-only."""
+        deg = np.zeros(size, dtype=np.int64)
+        np.add.at(deg, ends, self.edge_mult)
         deg.setflags(write=False)
         return deg
 
@@ -338,17 +341,15 @@ def _repair_slots(
     return members
 
 
-def theoretical_gamma_window(n: int, m: int, p: float, delta: float = 0.05) -> tuple[float, float]:
-    """Admissibility window [n^delta * sqrt(n / (m p)), n^(1 - delta)] for gamma.
+def theoretical_gamma_window(n: int, m: int, p: float) -> tuple[float, float]:
+    """Admissibility window [n^0.05 * sqrt(n / (m p)), n^0.95] for gamma.
 
     Desk-scale runs legitimately sit outside this asymptotic regime, so callers
     should warn rather than reject when gamma falls outside.
     """
     if not 0 < p <= 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    lo = n**delta * math.sqrt(n / (m * p))
-    hi = n ** (1.0 - delta)
-    return lo, hi
+    return n**0.05 * math.sqrt(n / (m * p)), n**0.95
 
 
 def write_edge_list(stream: IO[str], graph: PoolingGraph, family: str, allow_multi: bool) -> None:
@@ -389,13 +390,8 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     body = "\n".join(map(str.strip, it))
     columns = _columns(body)
     if columns is None:
-        # Each line parses or not on its own: bisect for the first bad one.
-        body_lines = body.split("\n")
-        lo, hi = 0, len(body_lines)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _columns("\n".join(body_lines[lo:mid])) is None else (mid, hi)
-        raise ValueError(f"line {lo + 2}: expected an integer 'agent query multiplicity' triple")
+        line = _first_bad_line(body)
+        raise ValueError(f"line {line}: expected an integer 'agent query multiplicity' triple")
     agent_arr, query_arr, mult_arr = columns
 
     # Each edge against the one before it; the first edge steps by 1.
@@ -412,8 +408,9 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     for rule, bad in rules:
         if bad.any():
             # Edge i is the (i + 1)-th non-blank body line.
-            edge_lines = [no for no, line in enumerate(body.split("\n"), start=2) if line]
-            raise ValueError(f"line {edge_lines[int(np.argmax(bad))]}: {rule}")
+            edge = next(itertools.islice(re.finditer(".+", body), int(np.argmax(bad)), None))
+            line = body.count("\n", 0, edge.start()) + 2
+            raise ValueError(f"line {line}: {rule}")
 
     # The rules above make the triples canonical: they are the graph's arrays.
     graph = PoolingGraph(n, m, gamma, agent_arr, query_arr, mult_arr)
@@ -428,9 +425,23 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     return spec, graph
 
 
+def _first_bad_line(body: str) -> int:
+    """File line number (the header is line 1) of the first line :func:`_columns` rejects.
+
+    Each line parses or not on its own, so this bisects over line ends,
+    parsing slices of the one string.  ``body[lo:hi]`` holds whole lines,
+    the first bad one among them.
+    """
+    lo, hi = 0, len(body)
+    while (last := body.rfind("\n", lo, hi)) != -1:
+        cut = body.find("\n", min((lo + hi) // 2, last), hi)  # first line end from the middle on
+        lo, hi = (lo, cut) if _columns(body[lo:cut]) is None else (cut + 1, hi)
+    return body.count("\n", 0, lo) + 2
+
+
 def _columns(body: str) -> np.ndarray | None:
     """``(3, E)`` int64 rows of ``body``'s lines; None unless each is blank or three int64s."""
-    if not body.strip():  # loadtxt warns on an input without data
+    if not body or body.isspace():  # loadtxt warns on an input without data
         return np.empty((3, 0), dtype=np.int64)
     try:  # comments=None: '#' is a bad field, not the start of a comment
         rows = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)

@@ -123,6 +123,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if isinstance(self.prior, FixedPrior) and self.prior.k > self.design.n:
+            raise ValueError(f"fixed one-count {self.prior.k} exceeds n={self.design.n}")
         p = self.resolved_p()
         if not 0.0 < p < 1.0:
             raise ValueError(f"decoder prior must lie in (0, 1), resolved to {p}")

@@ -1,8 +1,11 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
+import pooledsim.cli
 import pooledsim.designs
 from pooledsim.cli import _default_workers, _write_atomic, main, parse_sweep_config, ConfigError
 from pooledsim.designs import SimplificationError, read_edge_list
@@ -314,3 +317,106 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
         _write_atomic(target, "new\n\ud800")  # a lone surrogate has no UTF-8 form
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+
+# ------------------------------------------------------------- exit codes
+
+
+def test_bounds_prints_no_counting_bound_when_k_is_n(capsys):
+    code = main(["bounds", "--n", "10", "--p", "0.99", "--eps", "0.1", "--delta", "0.1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "m_min = " in out
+    assert "counting bound" not in out  # k = round(n p) = 10 = n
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("run_trial_detailed", simulate_args()),
+        ("run_sweep", ["sweep", "--config", "{cfg}", "--output", "{out}", "--workers", "1"]),
+        ("generate", ["generate", "--n", "4", "--m", "2", "--gamma", "2",
+                      "--family", "doubly_regular", "--seed", "1", "--output", "{out}"]),
+    ],
+)
+def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch, name, argv):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(pooledsim.cli, name, boom)
+    out = tmp_path / "out"
+    argv = [arg.format(cfg=write_config(tmp_path), out=out) for arg in argv]
+    with pytest.raises(ValueError, match="boom") as excinfo:
+        main(argv)
+    assert excinfo.type is ValueError
+    assert not out.exists()
+
+
+def test_generate_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.edges"
+    code = main(["generate", "--n", "4", "--m", "2", "--gamma", "2",
+                 "--family", "doubly_regular", "--seed", "-1", "--output", str(out)])
+    assert code == 2
+    assert "pooledsim: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_bytes(SWEEP_CONFIG.encode("utf-8") + b"# \xff\n")
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", str(cfg), "--output", str(out)])
+    assert code == 2
+    assert "utf-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_any_family_that_does_not_fit(tmp_path, capsys):
+    # the first family takes multi-edges, the second cannot fit gamma > n
+    text = SWEEP_CONFIG.replace("gamma = 6", "gamma = 90").replace(
+        "doubly_regular/simple, bernoulli", "doubly_regular/multi, bernoulli"
+    )
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", str(write_config(tmp_path, text)), "--output", str(out)])
+    assert code == 2
+    assert "gamma=90" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_more_ones_than_agents(capsys):
+    code = main(simulate_args(["--k", "500", "--p-threshold", "0.1"]))
+    assert code == 2
+    assert "fixed one-count 500 exceeds n=100" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ README examples
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading):
+    """The first fenced block after ``heading`` in the README, as text."""
+    section = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line)
+        for line in readme_block("## CLI").replace("\\\n", " ").splitlines()
+        if line.startswith("pooledsim ")
+    ]
+    run = [argv[1:] for argv in commands if argv[1] != "sweep"]  # sweep is timed in perfbench
+    assert [argv[0] for argv in run] == ["bounds", "generate", "simulate"]
+    for argv in run:
+        assert main(argv) == 0, argv
+    assert "m_min = 5119" in capsys.readouterr().out
+    assert (tmp_path / "graph.edges").exists()
+
+
+def test_readme_sweep_config_parses():
+    config = parse_sweep_config(readme_block("### Sweep config format"))
+    assert config.m_grid == list(range(50, 501, 50))
+    assert len(config.families) == 3

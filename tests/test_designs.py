@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -476,6 +477,38 @@ def test_edge_list_round_trip_with_multiplicities():
 def test_edge_list_rejects_malformed_header(text, message):
     with pytest.raises(ValueError, match=message):
         read_edge_list(io.StringIO(text))
+
+
+# Body lines of a valid 4-agent, 3-query file; None marks a blank line.
+LOCATOR_BODY = ["0 0 1", None, "0 2 1", "1 1 1", "  ", "2 0 1", None, None, "3 1 1", "3 2 1"]
+
+
+@pytest.mark.parametrize("field, message", [("x", "expected an integer"), ("4", "agent outside")])
+def test_edge_list_locates_each_bad_line(field, message):
+    for target, line in enumerate(LOCATOR_BODY):
+        if line is None or not line.strip():
+            continue
+        body = [
+            "" if text is None else (f"{field} {text.split(' ', 1)[1]}" if i == target else text)
+            for i, text in enumerate(LOCATOR_BODY)
+        ]
+        text = "4 3 1 one_sided_regular false\n" + "\n".join(body) + "\n"
+        with pytest.raises(ValueError, match=f"^line {target + 2}: {message}"):
+            read_edge_list(io.StringIO(text))
+
+
+def test_edge_list_degrees_are_exact_int64():
+    above_2_53 = 2**53 + 1
+    with pytest.raises(ValueError, match=f"has degree {above_2_53}, expected gamma=1$"):
+        read_edge_list(["1 1 1 doubly_regular true", f"0 0 {above_2_53}"])
+
+    top = np.iinfo(np.int64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, graph = read_edge_list([f"1 1 {top} doubly_regular true", f"0 0 {top}"])
+    assert graph.query_degrees.tolist() == [top]
+    assert graph.agent_degrees.tolist() == [top]
+    assert graph.distinct_agent_degrees.tolist() == [1]
 
 
 # ------------------------------------------------------------- gamma window
