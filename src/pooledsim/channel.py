@@ -29,14 +29,23 @@ def run_queries(
     Every copy of a multi-edge is read independently, so a query's result can
     count the same agent several times.  Reads consume the random stream in the
     sorted-edge-list order, which makes outcomes a deterministic function of
-    (graph, truth, channel, seed).
+    (graph, truth, channel, seed).  A deterministic channel (s11 and s01 both
+    0 or 1) needs no draws: the results are exact member sums and ``rng`` is
+    not advanced.
     """
     if truth.n != graph.n_agents:
         raise ValueError(f"truth has {truth.n} agents but graph has {graph.n_agents}")
-    agents = np.repeat(graph.edge_agents, graph.edge_mult)
-    queries = np.repeat(graph.edge_queries, graph.edge_mult)
-    read_prob = np.where(truth.bits[agents] == 1, channel.s11, channel.s01)
-    reads = rng.random(agents.size) < read_prob
+    if {channel.s11, channel.s01} <= {0.0, 1.0}:
+        # Every copy of an edge reads the same bit: weight each edge by its
+        # multiplicity instead of repeating it.
+        read = np.where(truth.bits == 1, channel.s11, channel.s01)
+        queries = graph.edge_queries
+        reads = read[graph.edge_agents] * graph.edge_mult
+    else:
+        agents = np.repeat(graph.edge_agents, graph.edge_mult)
+        queries = np.repeat(graph.edge_queries, graph.edge_mult)
+        read_prob = np.where(truth.bits[agents] == 1, channel.s11, channel.s01)
+        reads = rng.random(agents.size) < read_prob
     results = np.bincount(queries, weights=reads, minlength=graph.n_queries).astype(np.int64)
     results.setflags(write=False)
     return QueryOutcomes(results=results)

@@ -56,6 +56,26 @@ def test_run_queries_counts_multiplicity():
     assert out.results.tolist() == [2]
 
 
+@pytest.mark.parametrize("s11, s01", [(1.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+def test_run_queries_deterministic_channels_are_exact_member_sums(s11, s01):
+    # Only the identity is a valid ChannelMatrix; the other three are
+    # stand-ins.  Multi-edges count once per copy.
+    from types import SimpleNamespace
+
+    spec = DesignSpec(n=40, m=25, gamma=12, family="doubly_regular", allow_multi=True)
+    graph = generate(spec, np.random.default_rng(8))
+    assert (graph.edge_mult > 1).any()
+    truth = sample_ground_truth(40, BernoulliPrior(0.4), np.random.default_rng(9))
+    rng = np.random.default_rng(10)
+    state = rng.bit_generator.state
+    out = run_queries(graph, truth, SimpleNamespace(s11=s11, s01=s01), rng)
+    read = np.where(truth.bits == 1, s11, s01).astype(np.int64)
+    expected = np.zeros(graph.n_queries, dtype=np.int64)
+    np.add.at(expected, graph.edge_queries, graph.edge_mult * read[graph.edge_agents])
+    assert out.results.tolist() == expected.tolist()
+    assert rng.bit_generator.state == state
+
+
 def test_run_queries_rejects_truth_of_wrong_length():
     graph = graph_from_pairs(3, 1, 3, [(0, 0), (1, 0), (2, 0)])
     truth = GroundTruth.from_bits(np.array([1, 0]))
