@@ -169,20 +169,35 @@ def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
 
 
 def _generate_bernoulli(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
-    """Independent coin flip per (agent, query) pair with edge probability gamma / n."""
+    """Independent coin flip per (agent, query) pair with edge probability gamma / n.
+
+    The edges are drawn as geometric skips over the agent-major cell index
+    ``agent * m + query`` (Batagelj & Brandes 2005): a geometric gap is
+    memoryless, so every cell is still an independent coin flip.  The keys
+    come out strictly increasing, which is already the canonical order.
+    """
     p_edge = spec.gamma / spec.n
-    agents_parts: list[np.ndarray] = []
-    queries_parts: list[np.ndarray] = []
-    rows_per_chunk = max(1, _CHUNK_CELLS // spec.n)
-    for start in range(0, spec.m, rows_per_chunk):
-        rows = min(rows_per_chunk, spec.m - start)
-        mask = rng.random((rows, spec.n)) < p_edge
-        q_idx, a_idx = np.nonzero(mask)
-        agents_parts.append(a_idx)
-        queries_parts.append(q_idx + start)
-    agents = np.concatenate(agents_parts)
-    queries = np.concatenate(queries_parts)
-    return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, agents, queries)
+    cells = spec.n * spec.m
+    mean = cells * p_edge
+    block = math.ceil(mean + 6 * math.sqrt(mean * (1 - p_edge))) + 1
+    agents, queries = np.divmod(_skip_keys(cells, p_edge, block, rng), spec.m)
+    return PoolingGraph(
+        spec.n, spec.m, spec.gamma, agents, queries, np.ones(agents.size, dtype=np.int64)
+    )
+
+
+def _skip_keys(cells: int, p_edge: float, block: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices below ``cells`` of the successes of independent Bernoulli(p_edge) cells.
+
+    The gaps are drawn ``block`` at a time until the keys pass ``cells``.
+    The gap sequence, and so the keys, do not depend on ``block``; the
+    number of draws past the last key does.
+    """
+    parts = [np.cumsum(rng.geometric(p_edge, size=block)) - 1]
+    while parts[-1][-1] < cells:
+        parts.append(np.cumsum(rng.geometric(p_edge, size=block)) + parts[-1][-1])
+    keys = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    return keys[: np.searchsorted(keys, cells)]
 
 
 def _uniform_subsets(n: int, m: int, gamma: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,6 +26,28 @@ def same_graph(a: PoolingGraph, b: PoolingGraph) -> bool:
     return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in fields)
 
 
+def bernoulli_dense_reference(spec, rng: np.random.Generator) -> PoolingGraph:
+    """The former Bernoulli sampler: one uniform per (query, agent) cell.
+
+    Each cell is an edge with probability gamma / n, in chunks of whole query
+    rows; the pairs are then canonicalised by ``PoolingGraph.from_pairs``.
+    """
+    chunk_cells = 8_000_000
+    p_edge = spec.gamma / spec.n
+    agents_parts: list[np.ndarray] = []
+    queries_parts: list[np.ndarray] = []
+    rows_per_chunk = max(1, chunk_cells // spec.n)
+    for start in range(0, spec.m, rows_per_chunk):
+        rows = min(rows_per_chunk, spec.m - start)
+        mask = rng.random((rows, spec.n)) < p_edge
+        q_idx, a_idx = np.nonzero(mask)
+        agents_parts.append(a_idx)
+        queries_parts.append(q_idx + start)
+    agents = np.concatenate(agents_parts)
+    queries = np.concatenate(queries_parts)
+    return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, agents, queries)
+
+
 def read_bit(bit: int, channel, rng: np.random.Generator) -> int:
     """One read of a single bit through the channel; independent across calls."""
     prob = channel.s11 if bit else channel.s01

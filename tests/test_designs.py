@@ -7,7 +7,14 @@ import scipy.stats
 from scipy.special import gammaln
 
 import pooledsim.designs
-from oracles import is_simple, repair_slots_reference, same_graph, simplify
+from oracles import (
+    _pool_cells,
+    bernoulli_dense_reference,
+    is_simple,
+    repair_slots_reference,
+    same_graph,
+    simplify,
+)
 from pooledsim.designs import (
     DesignSpec,
     PoolingGraph,
@@ -223,6 +230,82 @@ def test_bernoulli_mean_query_degree():
         graph = generate(spec, rng)
         total += graph.query_degrees.mean()
     assert abs(total / generations - 10.0) < 0.1
+
+
+def bernoulli_query_degrees(sampler, spec, seed, generations):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([sampler(spec, rng).query_degrees for _ in range(generations)])
+
+
+def test_bernoulli_query_degrees_are_binomial():
+    # The cells are independent, so the per-query degrees are iid Binomial(n, gamma / n).
+    spec = DesignSpec(n=200, m=500, gamma=20, family="bernoulli")
+    degrees = bernoulli_query_degrees(generate, spec, seed=41, generations=40)
+    observed = np.bincount(degrees, minlength=spec.n + 1).astype(float)
+    expected = scipy.stats.binom.pmf(np.arange(spec.n + 1), spec.n, spec.gamma / spec.n)
+    obs_cells, exp_cells = _pool_cells(observed, expected * degrees.size, 5.0)
+    _, pvalue = scipy.stats.chisquare(obs_cells, exp_cells)
+    assert pvalue > 0.001
+
+
+def test_bernoulli_query_degrees_match_dense_reference():
+    spec = DesignSpec(n=200, m=500, gamma=20, family="bernoulli")
+    skips = bernoulli_query_degrees(generate, spec, seed=42, generations=40)
+    dense = bernoulli_query_degrees(bernoulli_dense_reference, spec, seed=43, generations=40)
+    table = np.stack([np.bincount(skips, minlength=spec.n + 1),
+                      np.bincount(dense, minlength=spec.n + 1)])
+    table = table[:, table.sum(axis=0) > 0]
+    # pool the sparse tails so the chi-square approximation is sound
+    while table.shape[1] > 2 and table[:, 0].sum() < 20:
+        table[:, 1] += table[:, 0]
+        table = table[:, 1:]
+    while table.shape[1] > 2 and table[:, -1].sum() < 20:
+        table[:, -2] += table[:, -1]
+        table = table[:, :-1]
+    _, pvalue, _, _ = scipy.stats.chi2_contingency(table)
+    assert pvalue > 0.001
+
+
+def test_bernoulli_cell_frequencies():
+    # Every (agent, query) cell, the first and the last key included, is an
+    # edge with probability gamma / n.
+    spec = DesignSpec(n=5, m=4, gamma=2, family="bernoulli")
+    draws = 5000
+    counts = np.zeros((spec.n, spec.m), dtype=np.int64)
+    for seed in range(draws):
+        graph = generate(spec, np.random.default_rng(seed))
+        counts[graph.edge_agents, graph.edge_queries] += 1
+    p_edge = spec.gamma / spec.n
+    stat = float((((counts - draws * p_edge) ** 2) / (draws * p_edge * (1 - p_edge))).sum())
+    assert scipy.stats.chi2.sf(stat, counts.size) > 0.001
+
+
+def test_bernoulli_one_agent_per_query_is_canonical():
+    spec = DesignSpec(n=50, m=30, gamma=1, family="bernoulli")
+    rng = np.random.default_rng(45)
+    generations = 2000
+    edges = 0
+    for _ in range(generations):
+        graph = generate(spec, rng)
+        keys = graph.edge_agents * spec.m + graph.edge_queries
+        assert (np.diff(keys) > 0).all()
+        assert graph.edge_agents.size == 0 or (0 <= keys.min() and keys.max() < spec.n * spec.m)
+        assert (graph.edge_mult == 1).all()
+        edges += graph.edge_agents.size
+    # m * gamma = 30 expected edges per graph; sd of the mean is about 0.12
+    assert abs(edges / generations - 30.0) < 0.5
+
+
+@pytest.mark.parametrize("block", [1, 3, 50])
+def test_bernoulli_keys_do_not_depend_on_the_block_size(block):
+    # Small blocks drive the top-up path: the keys must be those of one big block.
+    spec = DesignSpec(n=60, m=40, gamma=30, family="bernoulli")
+    for seed in range(5):
+        graph = generate(spec, np.random.default_rng(seed))
+        keys = pooledsim.designs._skip_keys(
+            spec.n * spec.m, spec.gamma / spec.n, block, np.random.default_rng(seed)
+        )
+        assert keys.tolist() == (graph.edge_agents * spec.m + graph.edge_queries).tolist()
 
 
 # ------------------------------------------------------------------ simplify

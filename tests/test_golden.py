@@ -35,7 +35,7 @@ GENERATE_CASES = {
     ),
     "bernoulli": (
         ["--n", "60", "--m", "40", "--gamma", "30", "--family", "bernoulli"],
-        "6833986af78d3495e12b10ce95d5643aad7bd01676be28e0f6614c4a9851427e",
+        "d1d5d04db7f7d738773d47d6e0a5afcd54f0a00f04bcc9c362ca355e2debb84a",
     ),
     # the figure point: about 1300 surplus copies to repair
     "dr_simple_large": (
@@ -64,7 +64,7 @@ seed = 4242
 m_grid = 10,40,80
 families = doubly_regular/simple, bernoulli
 """
-SWEEP_SHA256 = "26a8b90bb74b6d33da8c236f8d695ef605608ecf812fff67195dac1d65cac310"
+SWEEP_SHA256 = "9565a28372e29210b926ebaba9bfc03260a898612f5ef66774c14a68eca33d0a"
 
 
 def sha256(data: bytes) -> str:
