@@ -315,6 +315,8 @@ def _csv_field(value: object) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     with _user_input():
         config = parse_sweep_config(Path(args.config).read_text(encoding="utf-8"))
     trial, channel = config.trial, config.trial.channel

@@ -121,7 +121,7 @@ class TrialConfig:
     p_for_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN too
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if isinstance(self.prior, FixedPrior) and self.prior.k > self.design.n:
             raise ValueError(f"fixed one-count {self.prior.k} exceeds n={self.design.n}")

@@ -219,6 +219,16 @@ def test_sweep_rejects_bad_workers_env(tmp_path, monkeypatch, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_sweep_rejects_workers_below_one(tmp_path, capsys, value):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", str(cfg), "--output", str(out), "--workers", value])
+    assert code == 2
+    assert f"--workers must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ config parser
 
 
@@ -387,6 +397,23 @@ def test_simulate_rejects_more_ones_than_agents(capsys):
     code = main(simulate_args(["--k", "500", "--p-threshold", "0.1"]))
     assert code == 2
     assert "fixed one-count 500 exceeds n=100" in capsys.readouterr().err
+
+
+def test_simulate_rejects_nan_epsilon(capsys):
+    code = main(simulate_args(["--eps", "nan"]))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "epsilon must be positive, got nan" in captured.err
+
+
+def test_sweep_rejects_nan_epsilon(tmp_path, capsys):
+    text = SWEEP_CONFIG.replace("epsilon = 0.25", "epsilon = nan")
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", str(write_config(tmp_path, text)), "--output", str(out)])
+    assert code == 2
+    assert "epsilon must be positive, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ README examples
