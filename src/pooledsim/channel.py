@@ -40,13 +40,13 @@ def run_queries(
         # multiplicity instead of repeating it.
         read = np.where(truth.bits == 1, channel.s11, channel.s01)
         queries = graph.edge_queries
-        reads = read[graph.edge_agents] * graph.edge_mult
+        weights = read[graph.edge_agents] * graph.edge_mult
     else:
         agents = np.repeat(graph.edge_agents, graph.edge_mult)
         queries = np.repeat(graph.edge_queries, graph.edge_mult)
         read_prob = np.where(truth.bits[agents] == 1, channel.s11, channel.s01)
-        reads = rng.random(agents.size) < read_prob
-    results = np.bincount(queries, weights=reads, minlength=graph.n_queries).astype(np.int64)
+        weights = rng.random(agents.size) < read_prob
+    results = np.bincount(queries, weights=weights, minlength=graph.n_queries).astype(np.int64)
     results.setflags(write=False)
     return QueryOutcomes(results=results)
 

@@ -30,7 +30,7 @@ __all__ = [
 
 FAMILIES = ("bernoulli", "one_sided_regular", "doubly_regular")
 
-# Chunk size (in matrix cells) for the dense samplers, keeps memory bounded.
+# Chunk size (in matrix cells) for the dense subset sampler, keeps memory bounded.
 _CHUNK_CELLS = 8_000_000
 
 _MAX_SWAP_FACTOR = 100
@@ -193,10 +193,9 @@ def _skip_keys(cells: int, p_edge: float, block: int, rng: np.random.Generator) 
     The gap sequence, and so the keys, do not depend on ``block``; the
     number of draws past the last key does.
     """
-    parts = [np.cumsum(rng.geometric(p_edge, size=block)) - 1]
-    while parts[-1][-1] < cells:
-        parts.append(np.cumsum(rng.geometric(p_edge, size=block)) + parts[-1][-1])
-    keys = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    keys = np.cumsum(rng.geometric(p_edge, size=block)) - 1
+    while keys[-1] < cells:
+        keys = np.concatenate([keys, keys[-1] + np.cumsum(rng.geometric(p_edge, size=block))])
     return keys[: np.searchsorted(keys, cells)]
 
 
