@@ -93,8 +93,6 @@ def compute_scores(graph: PoolingGraph, outcomes: QueryOutcomes) -> np.ndarray:
 
 def score_centers(graph: PoolingGraph, p: float, channel: ChannelMatrix) -> np.ndarray:
     """Expected neighborhood contribution (gamma * distinct_deg - deg) * p_S per agent."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
     neighborhood = graph.gamma * graph.distinct_agent_degrees - graph.agent_degrees
     return neighborhood * effective_p(p, channel)
 

@@ -108,29 +108,6 @@ class PoolingGraph:
         for arr in (self.edge_agents, self.edge_queries, self.edge_mult):
             arr.setflags(write=False)
 
-    @classmethod
-    def from_pairs(
-        cls,
-        n_agents: int,
-        n_queries: int,
-        gamma: int,
-        agents: np.ndarray,
-        queries: np.ndarray,
-    ) -> "PoolingGraph":
-        """Build the canonical form from a (possibly repeated) pair listing."""
-        agents = np.asarray(agents, dtype=np.int64).ravel()
-        queries = np.asarray(queries, dtype=np.int64).ravel()
-        if agents.size != queries.size:
-            raise ValueError("agent and query endpoint arrays differ in length")
-        if agents.size:
-            if agents.min() < 0 or agents.max() >= n_agents:
-                raise ValueError("agent index out of range")
-            if queries.min() < 0 or queries.max() >= n_queries:
-                raise ValueError("query index out of range")
-        keys = agents * np.int64(n_queries) + queries
-        uniq, mult = np.unique(keys, return_counts=True)
-        return cls(n_agents, n_queries, gamma, uniq // n_queries, uniq % n_queries, mult)
-
     @cached_property
     def agent_degrees(self) -> np.ndarray:
         """Per-agent edge counts, multiplicities included."""
@@ -159,17 +136,21 @@ class PoolingGraph:
 def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
     """Generate a pooling graph for any design family."""
     if spec.family == "bernoulli":
-        return _generate_bernoulli(spec, rng)
-    if spec.family == "one_sided_regular":
-        members = _one_sided_members(spec, rng)
+        keys = _bernoulli_keys(spec, rng)
+        mult = np.ones(keys.size, dtype=np.int64)
     else:
-        members = _doubly_regular_members(spec, rng)
-    queries = np.repeat(np.arange(spec.m, dtype=np.int64), spec.gamma)
-    return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, members.ravel(), queries)
+        if spec.family == "one_sided_regular":
+            members = _one_sided_members(spec, rng)
+        else:
+            members = _doubly_regular_members(spec, rng)
+        # Row q of the (m, gamma) member matrix holds query q's agents.
+        keys, mult = np.unique(members * spec.m + np.arange(spec.m)[:, None], return_counts=True)
+    agents, queries = np.divmod(keys, spec.m)
+    return PoolingGraph(spec.n, spec.m, spec.gamma, agents, queries, mult)
 
 
-def _generate_bernoulli(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
-    """Independent coin flip per (agent, query) pair with edge probability gamma / n.
+def _bernoulli_keys(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
+    """Sorted ``agent * m + query`` keys of independent coin flips with edge probability gamma / n.
 
     The edges are drawn as geometric skips over the agent-major cell index
     ``agent * m + query`` (Batagelj & Brandes 2005): a geometric gap is
@@ -180,10 +161,7 @@ def _generate_bernoulli(spec: DesignSpec, rng: np.random.Generator) -> PoolingGr
     cells = spec.n * spec.m
     mean = cells * p_edge
     block = math.ceil(mean + 6 * math.sqrt(mean * (1 - p_edge))) + 1
-    agents, queries = np.divmod(_skip_keys(cells, p_edge, block, rng), spec.m)
-    return PoolingGraph(
-        spec.n, spec.m, spec.gamma, agents, queries, np.ones(agents.size, dtype=np.int64)
-    )
+    return _skip_keys(cells, p_edge, block, rng)
 
 
 def _skip_keys(cells: int, p_edge: float, block: int, rng: np.random.Generator) -> np.ndarray:

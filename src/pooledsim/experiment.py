@@ -28,6 +28,7 @@ from .model import (
     FixedPrior,
     GroundTruth,
     Prior,
+    _check_epsilon,
     eps_recovery,
     sample_ground_truth,
 )
@@ -121,8 +122,7 @@ class TrialConfig:
     p_for_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:  # NaN too
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if isinstance(self.prior, FixedPrior) and self.prior.k > self.design.n:
             raise ValueError(f"fixed one-count {self.prior.k} exceeds n={self.design.n}")
         p = self.resolved_p()

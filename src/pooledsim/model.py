@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,29 +52,25 @@ Prior = BernoulliPrior | FixedPrior
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Hidden bit vector together with its number of one-bits."""
+    """Hidden 0/1 bit vector, one entry per agent."""
 
     bits: np.ndarray
-    ones: int
 
     def __post_init__(self) -> None:
         if self.bits.ndim != 1:
             raise ValueError("bits must be a one-dimensional vector")
-        if self.ones != int(np.count_nonzero(self.bits)):
-            raise ValueError("ones does not match the number of 1 entries in bits")
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "GroundTruth":
-        arr = np.asarray(bits, dtype=np.int8)
-        if arr.size and (arr.min() < 0 or arr.max() > 1):
+        if ((self.bits != 0) & (self.bits != 1)).any():
             raise ValueError("bits must be 0/1 valued")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        return cls(bits=arr, ones=int(arr.sum()))
+        self.bits.setflags(write=False)  # ones is cached
 
     @property
     def n(self) -> int:
         return self.bits.size
+
+    @cached_property
+    def ones(self) -> int:
+        """Number of one-bits."""
+        return int(np.count_nonzero(self.bits))
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,7 @@ def sample_ground_truth(n: int, prior: Prior, rng: np.random.Generator) -> Groun
             bits[rng.choice(n, size=prior.k, replace=False)] = 1
     else:
         raise TypeError(f"unsupported prior: {prior!r}")
-    bits.setflags(write=False)
-    return GroundTruth(bits=bits, ones=int(bits.sum()))
+    return GroundTruth(bits)
 
 
 def _as_bits(vec: np.ndarray | GroundTruth) -> np.ndarray:
@@ -169,8 +165,7 @@ def eps_recovery(truth: GroundTruth, estimate: np.ndarray, epsilon: float) -> Re
     When the truth has no one-bits the overlap is reported as 1.0 (vacuous
     recovery) rather than raising, so the report stays well-formed.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     dist = hamming_distance(truth, estimate)
     ov = 1.0 if truth.ones == 0 else overlap(truth, estimate)
     return RecoveryReport(
@@ -179,3 +174,11 @@ def eps_recovery(truth: GroundTruth, estimate: np.ndarray, epsilon: float) -> Re
         eps_ok=dist <= 2.0 * epsilon * truth.ones,
         epsilon=epsilon,
     )
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless epsilon is a finite number above zero."""
+    if not epsilon > 0:  # NaN too
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if epsilon == float("inf"):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")

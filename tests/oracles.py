@@ -26,11 +26,24 @@ def same_graph(a: PoolingGraph, b: PoolingGraph) -> bool:
     return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in fields)
 
 
+def graph_from_pairs(n: int, m: int, gamma: int, pairs) -> PoolingGraph:
+    """Canonical graph of an ``(E, 2)`` listing of (agent, query) pairs.
+
+    A repeated pair becomes one edge with its count as multiplicity.  An
+    index outside ``0..n-1`` or ``0..m-1`` raises ValueError.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if ((pairs < 0) | (pairs >= (n, m))).any():
+        raise ValueError("pair index out of range")
+    keys, mult = np.unique(pairs[:, 0] * m + pairs[:, 1], return_counts=True)
+    return PoolingGraph(n, m, gamma, keys // m, keys % m, mult)
+
+
 def bernoulli_dense_reference(spec, rng: np.random.Generator) -> PoolingGraph:
     """The former Bernoulli sampler: one uniform per (query, agent) cell.
 
     Each cell is an edge with probability gamma / n, in chunks of whole query
-    rows; the pairs are then canonicalised by ``PoolingGraph.from_pairs``.
+    rows; the pairs are then canonicalised by :func:`graph_from_pairs`.
     """
     chunk_cells = 8_000_000
     p_edge = spec.gamma / spec.n
@@ -45,7 +58,7 @@ def bernoulli_dense_reference(spec, rng: np.random.Generator) -> PoolingGraph:
         queries_parts.append(q_idx + start)
     agents = np.concatenate(agents_parts)
     queries = np.concatenate(queries_parts)
-    return PoolingGraph.from_pairs(spec.n, spec.m, spec.gamma, agents, queries)
+    return graph_from_pairs(spec.n, spec.m, spec.gamma, np.column_stack([agents, queries]))
 
 
 def read_bit(bit: int, channel, rng: np.random.Generator) -> int:
@@ -76,9 +89,8 @@ def simplify(graph: PoolingGraph, rng: np.random.Generator) -> PoolingGraph:
     members = slot_agent[np.argsort(slot_query, kind="stable")]
     members = members.reshape(graph.n_queries, int(degrees[0]))
     repaired = designs._repair_slots(members, graph.n_agents, rng)
-    return PoolingGraph.from_pairs(
-        graph.n_agents, graph.n_queries, graph.gamma, repaired.ravel(), np.sort(slot_query)
-    )
+    pairs = np.column_stack([repaired.ravel(), np.sort(slot_query)])
+    return graph_from_pairs(graph.n_agents, graph.n_queries, graph.gamma, pairs)
 
 
 def naive_scores(graph: PoolingGraph, results) -> list[float]:

@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import read_bit
+from oracles import graph_from_pairs, read_bit
 from pooledsim.channel import effective_p, run_queries
-from pooledsim.designs import DesignSpec, PoolingGraph, generate
+from pooledsim.designs import DesignSpec, generate
 from pooledsim.model import BernoulliPrior, ChannelMatrix, GroundTruth, sample_ground_truth
-
-
-def graph_from_pairs(n, m, gamma, pairs):
-    agents = np.array([a for a, _ in pairs], dtype=np.int64)
-    queries = np.array([q for _, q in pairs], dtype=np.int64)
-    return PoolingGraph.from_pairs(n, m, gamma, agents, queries)
 
 
 def test_read_bit_identity_channel():
@@ -43,7 +37,7 @@ def test_read_bit_binomial_rate():
 
 def test_run_queries_identity_sums_incident_bits():
     graph = graph_from_pairs(3, 1, 3, [(0, 0), (1, 0), (2, 0)])
-    truth = GroundTruth.from_bits(np.array([1, 0, 1]))
+    truth = GroundTruth(np.array([1, 0, 1]))
     out = run_queries(graph, truth, ChannelMatrix.identity(), np.random.default_rng(0))
     assert out.results.tolist() == [2]
 
@@ -51,7 +45,7 @@ def test_run_queries_identity_sums_incident_bits():
 def test_run_queries_counts_multiplicity():
     # agent 0 has bit one and sits twice in query 0
     graph = graph_from_pairs(2, 1, 2, [(0, 0), (0, 0), (1, 0)])
-    truth = GroundTruth.from_bits(np.array([1, 0]))
+    truth = GroundTruth(np.array([1, 0]))
     out = run_queries(graph, truth, ChannelMatrix.identity(), np.random.default_rng(0))
     assert out.results.tolist() == [2]
 
@@ -78,7 +72,7 @@ def test_run_queries_deterministic_channels_are_exact_member_sums(s11, s01):
 
 def test_run_queries_rejects_truth_of_wrong_length():
     graph = graph_from_pairs(3, 1, 3, [(0, 0), (1, 0), (2, 0)])
-    truth = GroundTruth.from_bits(np.array([1, 0]))
+    truth = GroundTruth(np.array([1, 0]))
     with pytest.raises(ValueError, match="truth has 2 agents but graph has 3"):
         run_queries(graph, truth, ChannelMatrix.identity(), np.random.default_rng(0))
 
@@ -89,7 +83,7 @@ def test_run_queries_z_channel_mean():
     resamples = 10**5
     pairs = [(a, q) for q in range(resamples) for a in range(5)]
     graph = graph_from_pairs(5, resamples, 5, pairs)
-    truth = GroundTruth.from_bits(np.ones(5, dtype=np.int8))
+    truth = GroundTruth(np.ones(5, dtype=np.int8))
     chan = ChannelMatrix(s11=0.8, s01=0.0)
     out = run_queries(graph, truth, chan, np.random.default_rng(5))
     mean = out.results.mean()

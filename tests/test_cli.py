@@ -416,6 +416,25 @@ def test_sweep_rejects_nan_epsilon(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_rejects_infinite_epsilon(capsys):
+    code = main(simulate_args(["--eps", "inf"]))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "epsilon must be finite, got inf" in captured.err
+
+
+def test_sweep_rejects_infinite_epsilon(tmp_path, capsys):
+    text = SWEEP_CONFIG.replace("epsilon = 0.25", "epsilon = inf")
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", str(write_config(tmp_path, text)), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "epsilon must be finite, got inf" in captured.err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ README examples
 
 

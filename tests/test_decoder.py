@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     expected_score,
+    graph_from_pairs,
     naive_decode,
     naive_noiseless_results,
     naive_scores,
@@ -27,16 +28,10 @@ from pooledsim.decoder import (
     score_centers,
     threshold_fraction,
 )
-from pooledsim.designs import DesignSpec, PoolingGraph, generate
+from pooledsim.designs import DesignSpec, generate
 from pooledsim.model import ChannelMatrix, GroundTruth
 
 IDENT = ChannelMatrix.identity()
-
-
-def graph_from_pairs(n, m, gamma, pairs):
-    agents = np.array([a for a, _ in pairs], dtype=np.int64)
-    queries = np.array([q for _, q in pairs], dtype=np.int64)
-    return PoolingGraph.from_pairs(n, m, gamma, agents, queries)
 
 
 # -------------------------------------------------------------------- scores
@@ -58,7 +53,7 @@ def test_compute_scores_isolated_agent():
 def test_compute_scores_complete_bipartite():
     pairs = [(a, q) for a in range(3) for q in range(2)]
     graph = graph_from_pairs(3, 2, 3, pairs)
-    truth = GroundTruth.from_bits(np.array([1, 0, 0]))
+    truth = GroundTruth(np.array([1, 0, 0]))
     out = run_queries(graph, truth, IDENT, np.random.default_rng(0))
     assert out.results.tolist() == [1, 1]
     psi = compute_scores(graph, out)
@@ -94,6 +89,13 @@ def test_center_arithmetic_example():
     graph = graph_from_pairs(1, 3, 5, pairs)
     centers = score_centers(graph, 0.1, IDENT)
     assert centers[0] == pytest.approx(1.2)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5])
+def test_center_rejects_prior_outside_unit_interval(p):
+    graph = graph_from_pairs(1, 3, 5, [(0, q) for q in range(3)])
+    with pytest.raises(ValueError, match=rf"p must lie in \[0, 1\], got {p}"):
+        score_centers(graph, p, IDENT)
 
 
 # ---------------------------------------------------------------- rate and alpha
@@ -206,7 +208,7 @@ def test_decode_pipeline_matches_naive_replay():
         graph = generate(spec, rng)
         bits = np.zeros(n, dtype=np.int8)
         bits[rng.choice(n, size=k, replace=False)] = 1
-        truth = GroundTruth.from_bits(bits)
+        truth = GroundTruth(bits)
         out = run_queries(graph, truth, IDENT, rng)
         assert out.results.tolist() == naive_noiseless_results(graph, bits)
 
@@ -370,7 +372,7 @@ def test_expected_score_identity_over_regenerated_graphs():
     rng = np.random.default_rng(11)
     bits = np.zeros(n, dtype=np.int8)
     bits[rng.choice(n, size=k, replace=False)] = 1
-    truth = GroundTruth.from_bits(bits)
+    truth = GroundTruth(bits)
     spec = DesignSpec(n=n, m=m, gamma=gamma, family="doubly_regular", allow_multi=True)
 
     reps = 4000
@@ -419,7 +421,7 @@ def test_separation_identity_on_fixed_graph():
     reps = 5000
     means = []
     for bits in (bits_one, bits_zero):
-        truth = GroundTruth.from_bits(bits)
+        truth = GroundTruth(bits)
         vals = np.empty(reps)
         for r in range(reps):
             out = run_queries(graph, truth, chan, rng)

@@ -10,6 +10,7 @@ import pooledsim.designs
 from oracles import (
     _pool_cells,
     bernoulli_dense_reference,
+    graph_from_pairs,
     is_simple,
     repair_slots_reference,
     same_graph,
@@ -17,7 +18,6 @@ from oracles import (
 )
 from pooledsim.designs import (
     DesignSpec,
-    PoolingGraph,
     SimplificationError,
     degree_sequence,
     generate,
@@ -25,12 +25,6 @@ from pooledsim.designs import (
     theoretical_gamma_window,
     write_edge_list,
 )
-
-
-def graph_from_pairs(n, m, gamma, pairs):
-    agents = np.array([a for a, _ in pairs], dtype=np.int64)
-    queries = np.array([q for _, q in pairs], dtype=np.int64)
-    return PoolingGraph.from_pairs(n, m, gamma, agents, queries)
 
 
 def log_choose(n, k):
@@ -434,20 +428,6 @@ def test_generate_doubly_regular_simple_variant_is_simple():
     assert is_simple(graph)
     assert (graph.query_degrees == 12).all()
     assert graph.distinct_agent_degrees.tolist() == graph.agent_degrees.tolist()
-
-
-@pytest.mark.parametrize(
-    "agents, queries, message",
-    [
-        ([0, 1], [0], "differ in length"),
-        ([2], [0], "agent index out of range"),
-        ([-1], [0], "agent index out of range"),
-        ([0], [3], "query index out of range"),
-    ],
-)
-def test_from_pairs_rejects_bad_pairs(agents, queries, message):
-    with pytest.raises(ValueError, match=message):
-        PoolingGraph.from_pairs(2, 3, 1, np.array(agents), np.array(queries))
 
 
 # ----------------------------------------------------------- distinct degrees

@@ -33,6 +33,10 @@ GENERATE_CASES = {
         ["--n", "60", "--m", "40", "--gamma", "30", "--family", "one_sided_regular"],
         "2ef60aec4178c39c52f1dc696533afc0d46b5f29e51854d2061638c16fd9d8b6",
     ),
+    "one_sided_multi": (
+        ["--n", "60", "--m", "40", "--gamma", "30", "--family", "one_sided_regular", "--multi"],
+        "48c81e4d2f9ae24f51d4506bdff8cc5e9e54282f0a61c3b3e796c436a8c2d6c2",
+    ),
     "bernoulli": (
         ["--n", "60", "--m", "40", "--gamma", "30", "--family", "bernoulli"],
         "d1d5d04db7f7d738773d47d6e0a5afcd54f0a00f04bcc9c362ca355e2debb84a",

@@ -65,36 +65,36 @@ def test_hamming_distance_length_mismatch():
 
 
 def test_overlap_examples():
-    truth = GroundTruth.from_bits(np.array([1, 1, 0, 0]))
+    truth = GroundTruth(np.array([1, 1, 0, 0]))
     assert overlap(truth, np.array([1, 0, 0, 0])) == 0.5
-    truth2 = GroundTruth.from_bits(np.array([1, 0, 1]))
+    truth2 = GroundTruth(np.array([1, 0, 1]))
     assert overlap(truth2, np.array([1, 0, 1])) == 1.0
-    truth3 = GroundTruth.from_bits(np.array([1, 1, 1, 0]))
+    truth3 = GroundTruth(np.array([1, 1, 1, 0]))
     assert overlap(truth3, np.array([0, 0, 0, 1])) == 0.0
 
 
 def test_overlap_undefined_for_zero_support():
-    truth = GroundTruth.from_bits(np.zeros(4, dtype=np.int8))
+    truth = GroundTruth(np.zeros(4, dtype=np.int8))
     with pytest.raises(UndefinedMetricError):
         overlap(truth, np.zeros(4, dtype=np.int8))
 
 
 def test_eps_recovery_within_budget():
-    truth = GroundTruth.from_bits(np.array([1, 1, 0, 0]))
+    truth = GroundTruth(np.array([1, 1, 0, 0]))
     report = eps_recovery(truth, np.array([1, 0, 0, 0]), epsilon=0.25)
     assert report.hamming == 1
     assert report.eps_ok  # budget 2 * 0.25 * 2 = 1
 
 
 def test_eps_recovery_breaks_budget():
-    truth = GroundTruth.from_bits(np.array([1, 1, 0, 0]))
+    truth = GroundTruth(np.array([1, 1, 0, 0]))
     report = eps_recovery(truth, np.array([0, 0, 1, 1]), epsilon=0.25)
     assert report.hamming == 4
     assert not report.eps_ok
 
 
 def test_eps_recovery_zero_budget_met_exactly():
-    truth = GroundTruth.from_bits(np.zeros(6, dtype=np.int8))
+    truth = GroundTruth(np.zeros(6, dtype=np.int8))
     report = eps_recovery(truth, np.zeros(6, dtype=np.int8), epsilon=0.1)
     assert report.hamming == 0
     assert report.eps_ok
@@ -150,6 +150,38 @@ def test_channel_constructors():
     assert z.s01 == 0.0
 
 
-def test_ground_truth_consistency_check():
-    with pytest.raises(ValueError):
-        GroundTruth(bits=np.array([1, 0, 1], dtype=np.int8), ones=1)
+def test_ground_truth_counts_ones_and_freezes_bits():
+    bits = np.array([1, 0, 1, 1], dtype=np.int8)
+    truth = GroundTruth(bits)
+    assert truth.ones == 3
+    assert truth.n == 4
+    assert not truth.bits.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bits, message",
+    [
+        (np.zeros((2, 2), dtype=np.int8), "one-dimensional"),
+        (np.array([0, 2, 1]), "0/1 valued"),
+        (np.array([-1, 0]), "0/1 valued"),
+        (np.array([0.5, 1.0]), "0/1 valued"),
+    ],
+)
+def test_ground_truth_rejects_bad_bits(bits, message):
+    with pytest.raises(ValueError, match=message):
+        GroundTruth(bits)
+
+
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [
+        (float("nan"), "positive, got nan"),
+        (0.0, "positive, got 0.0"),
+        (-0.25, "positive, got -0.25"),
+        (float("inf"), "finite, got inf"),
+    ],
+)
+def test_eps_recovery_rejects_epsilon_not_finite_and_positive(epsilon, message):
+    truth = GroundTruth(np.array([1, 0, 0], dtype=np.int8))
+    with pytest.raises(ValueError, match=message):
+        eps_recovery(truth, truth.bits, epsilon)

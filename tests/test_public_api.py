@@ -1,4 +1,9 @@
-"""The package's top-level names: what the README and the benchmark call."""
+"""The package's public names: what the README and the benchmark call, and who uses them."""
+import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -44,3 +49,54 @@ def test_public_names_resolve_and_readme_quick_start_runs(capsys):
     exec(quick_start.group(1), namespace)
     capsys.readouterr()
     assert namespace["report"].m_min == 5119
+
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ["pooledsim", *(f"pooledsim.{m.name}" for m in pkgutil.iter_modules(pooledsim.__path__))]
+
+
+def _src_references() -> set[str]:
+    """Names that code in ``src/`` reads: loads, attributes and keyword arguments.
+
+    Definitions, imports and ``__all__`` strings are not reads, so a name
+    counts only where the package itself uses it.
+    """
+    used: set[str] = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                used.add(node.arg)
+    return used
+
+
+def _public_surface():
+    """``module.name`` and ``module.Class.attribute`` for every public name, member and field."""
+    for module_name in MODULES:
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            yield f"{module_name}.{name}", name
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and obj.__module__ == module_name:
+                attrs = set(vars(obj))
+                if dataclasses.is_dataclass(obj):
+                    attrs.update(field.name for field in dataclasses.fields(obj))
+                for attr in sorted(attrs):
+                    if not attr.startswith("_"):
+                        yield f"{module_name}.{name}.{attr}", attr
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    used = _src_references()
+    outside = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in [ROOT / "README.md", *(ROOT / "perfbench").rglob("*.py")]
+    )
+    test_only = [
+        qualified for qualified, name in _public_surface()
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", outside)
+    ]
+    assert test_only == [], "public names that only the tests use"
