@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -26,7 +27,6 @@ from .designs import (
     DesignSpec,
     SimplificationError,
     generate,
-    theoretical_gamma_window,
     write_edge_list,
 )
 from .experiment import (
@@ -193,7 +193,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _warn_gamma_window(design: DesignSpec, p: float) -> None:
-    lo, hi = theoretical_gamma_window(design.n, design.m, p)
+    """Warn when gamma lies outside the window [n^0.05 * sqrt(n / (m p)), n^0.95].
+
+    Desk-scale runs legitimately sit outside this asymptotic regime, so this
+    warns rather than rejects.
+    """
+    lo, hi = design.n**0.05 * math.sqrt(design.n / (design.m * p)), design.n**0.95
     if not lo <= design.gamma <= hi:
         warnings.warn(
             f"gamma={design.gamma} lies outside the theoretical admissibility window "
@@ -227,6 +232,8 @@ def _parse_m_grid(text: str) -> list[int]:
         values = [int(x) for x in text.split(",") if x.strip()]
     if not values or min(values) < 1:
         raise ConfigError(f"m_grid must list at least one query count, all >= 1, got {text!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"m_grid repeats a query count, got {text!r}")
     return values
 
 
@@ -245,6 +252,8 @@ def _parse_families(text: str) -> list[tuple[str, bool]]:
         multi = variant == "multi"
         if (name, multi) not in FAMILY_STREAM_IDS:
             raise ConfigError(f"family {name!r} has no multi variant")
+        if (name, multi) in families:
+            raise ConfigError(f"families repeats {name}/{variant}")
         families.append((name, multi))
     if not families:
         raise ConfigError("families must list at least one design family")

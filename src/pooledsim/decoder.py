@@ -19,11 +19,8 @@ __all__ = [
     "ThresholdUndefinedError",
     "ScoreVector",
     "BoundReport",
-    "compute_scores",
-    "score_centers",
     "rate_constant",
     "threshold_fraction",
-    "decision_threshold",
     "decode",
     "compute_score_vector",
     "required_queries",
@@ -49,12 +46,6 @@ class ScoreVector:
     centers: np.ndarray
     thresholds: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not self.scores.size == self.centers.size == self.thresholds.size:
-            raise ValueError("scores, centers and thresholds must have equal length")
-        if not np.all(np.isfinite(self.thresholds)):
-            raise ValueError("thresholds must be finite")
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -75,26 +66,6 @@ class BoundReport:
     fn_exponent: float
     fp_tail: float
     fn_tail: float
-
-
-def compute_scores(graph: PoolingGraph, outcomes: QueryOutcomes) -> np.ndarray:
-    """Per-agent score: sum of results over the agent's distinct queries.
-
-    A query contributes once per agent regardless of edge multiplicity
-    (membership indicator, not multiplicity).
-    """
-    if outcomes.results.size != graph.n_queries:
-        raise ValueError(
-            f"outcomes cover {outcomes.results.size} queries but graph has {graph.n_queries}"
-        )
-    contributions = outcomes.results[graph.edge_queries].astype(np.float64)
-    return np.bincount(graph.edge_agents, weights=contributions, minlength=graph.n_agents)
-
-
-def score_centers(graph: PoolingGraph, p: float, channel: ChannelMatrix) -> np.ndarray:
-    """Expected neighborhood contribution (gamma * distinct_deg - deg) * p_S per agent."""
-    neighborhood = graph.gamma * graph.distinct_agent_degrees - graph.agent_degrees
-    return neighborhood * effective_p(p, channel)
 
 
 def rate_constant(n: int, p: float, channel: ChannelMatrix) -> float:
@@ -130,17 +101,6 @@ def threshold_fraction(rate: float, m: int, p: float) -> float:
     return 0.5 + log_inv_p / (2.0 * rate * m)
 
 
-def decision_threshold(
-    degrees: int | np.ndarray, channel: ChannelMatrix, rate: float, m: int, p: float
-):
-    """Decision cutoff deg * (s01 + fraction * (s11 - s01)) per agent degree.
-
-    ``degrees`` may be a scalar or an array; the result matches its shape.
-    """
-    fraction = threshold_fraction(rate, m, p)
-    return np.asarray(degrees) * (channel.s01 + fraction * (channel.s11 - channel.s01))
-
-
 def decode(scores: np.ndarray, centers: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Classify agents: one iff the centered score strictly exceeds the threshold.
 
@@ -161,12 +121,25 @@ def compute_score_vector(
     channel: ChannelMatrix,
     m: int,
 ) -> ScoreVector:
-    """Bundle scores, centers and per-agent thresholds for one decoding run."""
+    """Scores, centers and per-agent thresholds for one decoding run.
+
+    An agent's score sums the results of its distinct queries: a query counts
+    once per agent whatever the edge multiplicity.  Its center is the expected
+    neighborhood contribution ``(gamma * distinct_deg - deg) * p_S`` and its
+    threshold ``deg * (s01 + fraction * (s11 - s01))``.
+    """
     rate = rate_constant(graph.n_agents, p, channel)
+    if outcomes.results.size != graph.n_queries:
+        raise ValueError(
+            f"outcomes cover {outcomes.results.size} queries but graph has {graph.n_queries}"
+        )
+    contributions = outcomes.results[graph.edge_queries].astype(np.float64)
+    neighborhood = graph.gamma * graph.distinct_agent_degrees - graph.agent_degrees
+    fraction = threshold_fraction(rate, m, p)
     return ScoreVector(
-        scores=compute_scores(graph, outcomes),
-        centers=score_centers(graph, p, channel),
-        thresholds=decision_threshold(graph.agent_degrees, channel, rate, m, p),
+        scores=np.bincount(graph.edge_agents, weights=contributions, minlength=graph.n_agents),
+        centers=neighborhood * effective_p(p, channel),
+        thresholds=graph.agent_degrees * (channel.s01 + fraction * (channel.s11 - channel.s01)),
     )
 
 

@@ -21,9 +21,7 @@ __all__ = [
     "DesignSpec",
     "PoolingGraph",
     "SimplificationError",
-    "degree_sequence",
     "generate",
-    "theoretical_gamma_window",
     "write_edge_list",
     "read_edge_list",
 ]
@@ -67,24 +65,6 @@ class DesignSpec:
                 f"gamma={self.gamma} agents per query do not fit into n={self.n} "
                 "agents without multi-edges"
             )
-
-
-def degree_sequence(n: int, m: int, gamma: int, rng: np.random.Generator) -> np.ndarray:
-    """Split m * gamma edge endpoints over n agents as evenly as possible.
-
-    Returns a read-only int64 array of n agent degrees with max - min <= 1.
-    The (m * gamma mod n) agents receiving the larger degree are chosen
-    uniformly at random so that no index is systematically favoured.
-    """
-    if min(n, m, gamma) < 1:
-        raise ValueError("n, m and gamma must all be at least 1")
-    total = m * gamma
-    base, extra = divmod(total, n)
-    degrees = np.full(n, base, dtype=np.int64)
-    if extra:
-        degrees[rng.choice(n, size=extra, replace=False)] += 1
-    degrees.setflags(write=False)
-    return degrees
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,15 +184,21 @@ def _one_sided_members(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray
 def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
     """Configuration model matching gamma-regular queries to a balanced degree sequence.
 
-    The m * gamma query-side stubs are matched positionally against a uniformly
-    shuffled array of agent-side stubs (a Fisher-Yates shuffle, hence uniform
-    over matchings).  Slots are laid out query-major: slot ``i`` belongs to
-    query ``i // gamma``, so the shuffled stubs reshape into the ``(m, gamma)``
-    member matrix of the queries.  Without ``allow_multi`` that matrix is
-    repaired row by row with double-edge swaps (see :func:`_repair_slots`),
-    which may raise :class:`SimplificationError`.
+    The m * gamma stubs are split over the agents as evenly as possible; the
+    (m * gamma mod n) agents with one stub more are chosen uniformly at
+    random, so that no index is favoured.  The query-side stubs are matched
+    positionally against a uniformly shuffled array of agent-side stubs (a
+    Fisher-Yates shuffle, hence uniform over matchings).  Slots are laid out
+    query-major: slot ``i`` belongs to query ``i // gamma``, so the shuffled
+    stubs reshape into the ``(m, gamma)`` member matrix of the queries.
+    Without ``allow_multi`` that matrix is repaired row by row with
+    double-edge swaps (see :func:`_repair_slots`), which may raise
+    :class:`SimplificationError`.
     """
-    degrees = degree_sequence(spec.n, spec.m, spec.gamma, rng)
+    base, extra = divmod(spec.m * spec.gamma, spec.n)
+    degrees = np.full(spec.n, base, dtype=np.int64)
+    if extra:
+        degrees[rng.choice(spec.n, size=extra, replace=False)] += 1
     agent_stubs = np.repeat(np.arange(spec.n, dtype=np.int64), degrees)
     members = rng.permutation(agent_stubs).reshape(spec.m, spec.gamma)
     del agent_stubs
@@ -331,17 +317,6 @@ def _repair_slots(
         pending = remaining[pos_in_run < np.repeat(surplus, run_len)]
 
     return members
-
-
-def theoretical_gamma_window(n: int, m: int, p: float) -> tuple[float, float]:
-    """Admissibility window [n^0.05 * sqrt(n / (m p)), n^0.95] for gamma.
-
-    Desk-scale runs legitimately sit outside this asymptotic regime, so callers
-    should warn rather than reject when gamma falls outside.
-    """
-    if not 0 < p <= 1:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    return n**0.05 * math.sqrt(n / (m * p)), n**0.95
 
 
 def write_edge_list(stream: IO[str], graph: PoolingGraph, family: str, allow_multi: bool) -> None:

@@ -182,8 +182,8 @@ class AggregateRow:
 
 def _failed_trial(
     design: DesignSpec, truth: GroundTruth, seed: int, tag: str
-) -> TrialResult:
-    return TrialResult(
+) -> TrialDetail:
+    result = TrialResult(
         m=design.m,
         family=design.family,
         multi=design.allow_multi,
@@ -194,6 +194,7 @@ def _failed_trial(
         seed=seed,
         failure=tag,
     )
+    return TrialDetail(result, truth, None, None, None, None)
 
 
 def run_trial_detailed(config: TrialConfig, m: int, trial_index: int) -> TrialDetail:
@@ -209,13 +210,11 @@ def run_trial_detailed(config: TrialConfig, m: int, trial_index: int) -> TrialDe
     try:
         threshold_fraction(rate_constant(design.n, p, config.channel), m, p)
     except ThresholdUndefinedError:
-        result = _failed_trial(design, truth, seed, "threshold_undefined")
-        return TrialDetail(result, truth, None, None, None, None)
+        return _failed_trial(design, truth, seed, "threshold_undefined")
     try:
         graph = generate(design, rng)
     except SimplificationError:
-        result = _failed_trial(design, truth, seed, "simplification_failed")
-        return TrialDetail(result, truth, None, None, None, None)
+        return _failed_trial(design, truth, seed, "simplification_failed")
     outcomes = run_queries(graph, truth, config.channel, rng)
     vector = compute_score_vector(graph, outcomes, p, config.channel, m)
     estimate = decode(vector.scores, vector.centers, vector.thresholds)
@@ -276,13 +275,17 @@ def run_sweep(
     """Run trials for every (m, family, multi) point and aggregate them.
 
     The output is independent of the worker count: trials are keyed by their
-    seed-derived indices and rows are sorted by (family, multi, m).
+    seed-derived indices and rows are sorted by (family, multi, m).  A
+    repeated m or family variant raises ValueError, since its row would count
+    the same seeded trials more than once.
     """
     if not m_grid or not families or trials_per_point < 1:
         raise ValueError("m grid, families and trials_per_point must be non-empty/positive")
     for family, multi in families:
         if (family, multi) not in FAMILY_STREAM_IDS:
             raise ValueError(f"unknown family variant ({family!r}, multi={multi})")
+    if len(set(m_grid)) < len(m_grid) or len(set(families)) < len(families):
+        raise ValueError("m grid and families must not repeat a sweep point")
     tasks = [
         (m, family, multi, index)
         for family, multi in families

@@ -13,16 +13,9 @@ __all__ = [
     "GroundTruth",
     "ChannelMatrix",
     "RecoveryReport",
-    "UndefinedMetricError",
     "sample_ground_truth",
-    "hamming_distance",
-    "overlap",
     "eps_recovery",
 ]
-
-
-class UndefinedMetricError(ValueError):
-    """Raised when a metric has no value (e.g. overlap with no one-bits)."""
 
 
 @dataclass(frozen=True)
@@ -52,16 +45,18 @@ Prior = BernoulliPrior | FixedPrior
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Hidden 0/1 bit vector, one entry per agent."""
+    """Hidden 0/1 bit vector, one entry per agent, kept as a read-only copy of the input."""
 
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bits.ndim != 1:
+        bits = np.array(self.bits)
+        if bits.ndim != 1:
             raise ValueError("bits must be a one-dimensional vector")
-        if ((self.bits != 0) & (self.bits != 1)).any():
+        if ((bits != 0) & (bits != 1)).any():
             raise ValueError("bits must be 0/1 valued")
-        self.bits.setflags(write=False)  # ones is cached
+        bits.setflags(write=False)  # ones is cached
+        object.__setattr__(self, "bits", bits)
 
     @property
     def n(self) -> int:
@@ -114,7 +109,6 @@ class RecoveryReport:
     hamming: int
     overlap: float
     eps_ok: bool
-    epsilon: float
 
 
 def sample_ground_truth(n: int, prior: Prior, rng: np.random.Generator) -> GroundTruth:
@@ -134,45 +128,23 @@ def sample_ground_truth(n: int, prior: Prior, rng: np.random.Generator) -> Groun
     return GroundTruth(bits)
 
 
-def _as_bits(vec: np.ndarray | GroundTruth) -> np.ndarray:
-    if isinstance(vec, GroundTruth):
-        return vec.bits
-    return np.asarray(vec)
-
-
-def hamming_distance(a: np.ndarray | GroundTruth, b: np.ndarray | GroundTruth) -> int:
-    """Number of positions where the two bit vectors differ."""
-    av, bv = _as_bits(a), _as_bits(b)
-    if av.size != bv.size:
-        raise ValueError(f"length mismatch: {av.size} vs {bv.size}")
-    return int(np.count_nonzero(av != bv))
-
-
-def overlap(truth: GroundTruth, estimate: np.ndarray) -> float:
-    """Fraction of true one-bit agents that the estimate also classifies as one."""
-    est = _as_bits(estimate)
-    if est.size != truth.n:
-        raise ValueError(f"length mismatch: {truth.n} vs {est.size}")
-    if truth.ones == 0:
-        raise UndefinedMetricError("overlap is undefined when the truth has no one-bits")
-    hits = int(np.count_nonzero((truth.bits == 1) & (est == 1)))
-    return hits / truth.ones
-
-
 def eps_recovery(truth: GroundTruth, estimate: np.ndarray, epsilon: float) -> RecoveryReport:
-    """Check the estimate against the Hamming budget ``2 * epsilon * ones``.
+    """Hamming distance and overlap of the estimate, against the budget ``2 * epsilon * ones``.
 
-    When the truth has no one-bits the overlap is reported as 1.0 (vacuous
-    recovery) rather than raising, so the report stays well-formed.
+    The overlap is the fraction of true one-bits that the estimate also
+    classifies as one; when the truth has no one-bits it is reported as 1.0
+    (vacuous recovery), so the report stays well-formed.
     """
     _check_epsilon(epsilon)
-    dist = hamming_distance(truth, estimate)
-    ov = 1.0 if truth.ones == 0 else overlap(truth, estimate)
+    estimate = np.asarray(estimate)
+    if estimate.size != truth.n:
+        raise ValueError(f"length mismatch: {truth.n} vs {estimate.size}")
+    dist = int(np.count_nonzero(truth.bits != estimate))
+    hits = int(np.count_nonzero((truth.bits == 1) & (estimate == 1)))
     return RecoveryReport(
         hamming=dist,
-        overlap=ov,
+        overlap=hits / truth.ones if truth.ones else 1.0,
         eps_ok=dist <= 2.0 * epsilon * truth.ones,
-        epsilon=epsilon,
     )
 
 

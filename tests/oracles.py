@@ -6,6 +6,7 @@ code that shares none of their structure.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -93,17 +94,52 @@ def simplify(graph: PoolingGraph, rng: np.random.Generator) -> PoolingGraph:
     return graph_from_pairs(graph.n_agents, graph.n_queries, graph.gamma, pairs)
 
 
-def naive_scores(graph: PoolingGraph, results) -> list[float]:
-    """Per-agent score via explicit dict loops over the edge multiset."""
-    incident: dict[int, set[int]] = defaultdict(set)
+def _agent_edges(graph: PoolingGraph) -> tuple[Counter, dict[int, set[int]]]:
+    """Per agent: edge copies (multiplicities summed) and the set of distinct queries."""
+    copies: Counter = Counter()
+    queries: dict[int, set[int]] = defaultdict(set)
     for agent, query, mult in zip(
         graph.edge_agents.tolist(), graph.edge_queries.tolist(), graph.edge_mult.tolist()
     ):
         assert mult >= 1
-        incident[agent].add(query)
+        copies[agent] += mult
+        queries[agent].add(query)
+    return copies, queries
+
+
+def naive_scores(graph: PoolingGraph, results) -> list[float]:
+    """Per-agent score via explicit dict loops over the edge multiset."""
+    _, queries = _agent_edges(graph)
+    return [float(sum(results[q] for q in queries[i])) for i in range(graph.n_agents)]
+
+
+def naive_centers(graph: PoolingGraph, p: float, channel) -> list[float]:
+    """Per-agent center: (gamma * distinct queries - edge copies) * Pr(a read is one)."""
+    copies, queries = _agent_edges(graph)
+    read_one = p * channel.s11 + (1 - p) * channel.s01
     return [
-        float(sum(results[q] for q in incident.get(i, ()))) for i in range(graph.n_agents)
+        (graph.gamma * len(queries[i]) - copies[i]) * read_one for i in range(graph.n_agents)
     ]
+
+
+def naive_thresholds(graph: PoolingGraph, p: float, channel, m: int) -> list[float]:
+    """Per-agent cutoff: edge copies times the optimal mix of the read means s01 and s11."""
+    copies, _ = _agent_edges(graph)
+    read_one = p * channel.s11 + (1 - p) * channel.s01
+    rate = (channel.s11 - channel.s01) ** 2 / (2 * graph.n_agents * read_one)
+    fraction = 0.5 + math.log(1 / p) / (2 * rate * m)
+    mix = (1 - fraction) * channel.s01 + fraction * channel.s11
+    return [copies[i] * mix for i in range(graph.n_agents)]
+
+
+def naive_recovery(bits, estimate) -> tuple[int, float]:
+    """Hamming distance and overlap (true ones hit, over true ones; 1.0 without ones)."""
+    hamming = hits = ones = 0
+    for bit, guess in zip(bits.tolist(), estimate.tolist()):
+        hamming += bit != guess
+        ones += bit
+        hits += bit and guess
+    return hamming, hits / ones if ones else 1.0
 
 
 def naive_noiseless_results(graph: PoolingGraph, bits) -> list[int]:

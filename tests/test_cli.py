@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 import pooledsim.cli
 import pooledsim.designs
 from pooledsim.cli import _default_workers, _write_atomic, main, parse_sweep_config, ConfigError
-from pooledsim.designs import SimplificationError, read_edge_list
+from pooledsim.designs import DesignSpec, SimplificationError, read_edge_list
 
 
 SWEEP_CONFIG = """\
@@ -190,6 +191,21 @@ def test_sweep_rejects_missing_required_key(tmp_path, capsys):
     assert "gamma" in err
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("40,80,120", "100,100"),
+     ("doubly_regular/simple, bernoulli", "doubly_regular, doubly_regular/simple")],
+    ids=["m_grid", "families"],
+)
+def test_sweep_rejects_repeated_sweep_points(tmp_path, capsys, old, new):
+    # a repeated point would count the same seeded trials again in its row
+    cfg = write_config(tmp_path, SWEEP_CONFIG.replace(old, new))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg), "--output", str(out), "--workers", "1"]) == 2
+    assert "repeats" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_sweep_rejects_conflicting_priors(tmp_path, capsys):
     cfg = write_config(tmp_path, SWEEP_CONFIG + "p = 0.05\n")
     code = main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "x.csv")])
@@ -280,11 +296,14 @@ def test_parse_sweep_config_line_numbers_in_errors():
         ("trials = 4", "trials = 0", "trials must be at least 1"),
         ("40,80,120", "40,0", r"line 10: key 'm_grid': .*all >= 1, got '40,0'"),
         ("40,80,120", "0:100:50", r"line 10: key 'm_grid': .*all >= 1, got '0:100:50'"),
+        ("40,80,120", "40,80,40", "line 10: key 'm_grid': m_grid repeats a query count"),
+        ("bernoulli\n", "doubly_regular\n", "line 11: key 'families': families repeats"),
     ],
     ids=[
         "range-shape", "range-empty", "range-step", "grid-empty", "grid-non-integer",
         "unknown-family", "bad-variant", "families-empty", "empty-value", "int-non-numeric",
         "float-non-numeric", "prior-rejected", "zero-trials", "grid-zero", "range-from-zero",
+        "grid-repeat", "families-repeat",
     ],
 )
 def test_parse_sweep_config_rejects_bad_values(old, new, message):
@@ -315,6 +334,21 @@ def test_simulate_warns_outside_gamma_window(capsys):
 def test_simulate_inside_window_is_quiet(recwarn):
     assert main(simulate_args()) == 0
     assert not [w for w in recwarn if "admissibility" in str(w.message)]
+
+
+def gamma_window(m):
+    """The [lo, hi] window that the warning for gamma = 1 at n = 1000, p = 0.01 names."""
+    design = DesignSpec(n=1000, m=m, gamma=1, family="doubly_regular")
+    with pytest.warns(UserWarning) as record:
+        pooledsim.cli._warn_gamma_window(design, 0.01)
+    lo, hi = re.search(r"\[([\d.]+), ([\d.]+)\]", str(record[0].message)).groups()
+    return float(lo), float(hi)
+
+
+def test_theoretical_gamma_window_monotone_in_m():
+    (lo1, hi1), (lo2, hi2) = gamma_window(100), gamma_window(400)
+    assert (lo1, lo2) == (44.7, 22.3)  # n^0.05 * sqrt(n / (m p))
+    assert hi1 == hi2 == pytest.approx(1000**0.95, abs=0.05)
 
 
 # ------------------------------------------------------------ atomic output

@@ -17,21 +17,34 @@ from pooledsim.decoder import (
     DegenerateChannelError,
     ThresholdUndefinedError,
     compute_score_vector,
-    compute_scores,
     counting_bound,
-    decision_threshold,
     decode,
     entropy,
     error_exponents,
     rate_constant,
     required_queries,
-    score_centers,
     threshold_fraction,
 )
 from pooledsim.designs import DesignSpec, generate
 from pooledsim.model import ChannelMatrix, GroundTruth
 
 IDENT = ChannelMatrix.identity()
+M_LARGE = 10**9  # defines the threshold for every graph below
+
+
+def scores_of(graph, outcomes):
+    return compute_score_vector(graph, outcomes, 0.5, IDENT, M_LARGE).scores
+
+
+def centers_of(graph, p):
+    outcomes = QueryOutcomes(np.zeros(graph.n_queries, dtype=np.int64))
+    return compute_score_vector(graph, outcomes, p, IDENT, M_LARGE).centers
+
+
+def degree_graph(n, degrees):
+    """n agents with gamma 5; agent i sits in queries 0 .. degrees[i] - 1, the rest in none."""
+    pairs = [(i, q) for i, deg in enumerate(degrees) for q in range(deg)]
+    return graph_from_pairs(n, max(degrees), 5, pairs)
 
 
 # -------------------------------------------------------------------- scores
@@ -40,13 +53,13 @@ IDENT = ChannelMatrix.identity()
 def test_compute_scores_indicator_semantics():
     # query a1 counts once for x1 despite the double edge
     graph = graph_from_pairs(2, 2, 2, [(0, 0), (0, 0), (0, 1), (1, 1)])
-    psi = compute_scores(graph, QueryOutcomes(np.array([2, 1])))
+    psi = scores_of(graph, QueryOutcomes(np.array([2, 1])))
     assert psi.tolist() == [3.0, 1.0]
 
 
 def test_compute_scores_isolated_agent():
     graph = graph_from_pairs(3, 1, 2, [(0, 0), (1, 0)])
-    psi = compute_scores(graph, QueryOutcomes(np.array([5])))
+    psi = scores_of(graph, QueryOutcomes(np.array([5])))
     assert psi.tolist() == [5.0, 5.0, 0.0]
 
 
@@ -56,14 +69,14 @@ def test_compute_scores_complete_bipartite():
     truth = GroundTruth(np.array([1, 0, 0]))
     out = run_queries(graph, truth, IDENT, np.random.default_rng(0))
     assert out.results.tolist() == [1, 1]
-    psi = compute_scores(graph, out)
+    psi = scores_of(graph, out)
     assert psi.tolist() == [2.0, 2.0, 2.0]
 
 
 def test_compute_scores_dimension_mismatch():
     graph = graph_from_pairs(2, 2, 1, [(0, 0), (1, 1)])
-    with pytest.raises(ValueError):
-        compute_scores(graph, QueryOutcomes(np.array([1, 2, 3])))
+    with pytest.raises(ValueError, match="outcomes cover 3 queries but graph has 2"):
+        scores_of(graph, QueryOutcomes(np.array([1, 2, 3])))
 
 
 # ------------------------------------------------------------------- centers
@@ -72,30 +85,21 @@ def test_compute_scores_dimension_mismatch():
 def test_center_simple_graph_reduction():
     # simple graph: distinct degree equals degree, so C_i = deg * (gamma-1) * p
     graph = graph_from_pairs(3, 2, 2, [(0, 0), (1, 0), (1, 1), (2, 1)])
-    centers = score_centers(graph, 0.25, IDENT)
+    centers = centers_of(graph, 0.25)
     expected = graph.agent_degrees * (2 - 1) * 0.25
     assert np.allclose(centers, expected)
 
 
-def test_center_zero_when_reads_never_fire():
-    graph = graph_from_pairs(3, 2, 2, [(0, 0), (1, 0), (1, 1), (2, 1)])
-    centers = score_centers(graph, 0.0, ChannelMatrix(s11=0.9, s01=0.0))
-    assert np.allclose(centers, 0.0)
-
-
 def test_center_arithmetic_example():
     # deg = distinct = 3, gamma = 5, p = 0.1, identity: (15 - 3) * 0.1 = 1.2
-    pairs = [(0, q) for q in range(3)]
-    graph = graph_from_pairs(1, 3, 5, pairs)
-    centers = score_centers(graph, 0.1, IDENT)
+    centers = centers_of(degree_graph(1, [3]), 0.1)
     assert centers[0] == pytest.approx(1.2)
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5])
 def test_center_rejects_prior_outside_unit_interval(p):
-    graph = graph_from_pairs(1, 3, 5, [(0, q) for q in range(3)])
     with pytest.raises(ValueError, match=rf"p must lie in \[0, 1\], got {p}"):
-        score_centers(graph, p, IDENT)
+        centers_of(degree_graph(1, [3]), p)
 
 
 # ---------------------------------------------------------------- rate and alpha
@@ -131,12 +135,20 @@ def test_threshold_fraction_boundary_rejected():
         threshold_fraction(rate, int(m) - 10, p)
 
 
+def thresholds_of(n, degrees, rate, m, p):
+    """Thresholds of the first agents of a ``degree_graph``; n must give the rate ``rate``."""
+    assert rate_constant(n, p, IDENT) == pytest.approx(rate)
+    graph = degree_graph(n, degrees)
+    outcomes = QueryOutcomes(np.zeros(graph.n_queries, dtype=np.int64))
+    return compute_score_vector(graph, outcomes, p, IDENT, m).thresholds[: len(degrees)]
+
+
 def test_decision_threshold_examples():
     # huge m: the correction vanishes and the cutoff sits at the midpoint
-    assert decision_threshold(10, IDENT, rate=0.05, m=10**9, p=0.1) == pytest.approx(
+    assert thresholds_of(100, [10], rate=0.05, m=10**9, p=0.1)[0] == pytest.approx(
         5.0, abs=1e-4
     )
-    value = decision_threshold(10, IDENT, rate=0.005, m=5119, p=0.1)
+    value = thresholds_of(1000, [10], rate=0.005, m=5119, p=0.1)[0]
     assert value == pytest.approx(5.44981, abs=5e-5)
 
 
@@ -155,7 +167,7 @@ def test_decision_threshold_form_equivalence():
 
 def test_decision_threshold_vectorized_over_degrees():
     degs = np.array([2, 3, 5])
-    vals = decision_threshold(degs, IDENT, rate=0.01, m=1000, p=0.5)
+    vals = thresholds_of(100, degs.tolist(), rate=0.01, m=1000, p=0.5)
     frac = threshold_fraction(0.01, 1000, 0.5)
     assert np.allclose(vals, degs * frac)
 
@@ -382,7 +394,7 @@ def test_expected_score_identity_over_regenerated_graphs():
     for r in range(reps):
         graph = generate(spec, rng)
         out = run_queries(graph, truth, chan, rng)
-        samples[r] = compute_scores(graph, out)[agent]
+        samples[r] = scores_of(graph, out)[agent]
 
     # exact expected distinct degree of agent 0: m * Pr(agent in a query)
     from scipy.special import gammaln
@@ -425,7 +437,7 @@ def test_separation_identity_on_fixed_graph():
         vals = np.empty(reps)
         for r in range(reps):
             out = run_queries(graph, truth, chan, rng)
-            vals[r] = compute_scores(graph, out)[agent]
+            vals[r] = scores_of(graph, out)[agent]
         means.append((vals.mean(), vals.std(ddof=1) / math.sqrt(reps)))
     empirical_gap = means[0][0] - means[1][0]
     stderr = math.hypot(means[0][1], means[1][1])

@@ -19,10 +19,8 @@ from oracles import (
 from pooledsim.designs import (
     DesignSpec,
     SimplificationError,
-    degree_sequence,
     generate,
     read_edge_list,
-    theoretical_gamma_window,
     write_edge_list,
 )
 
@@ -56,19 +54,25 @@ def test_design_spec_validation():
     DesignSpec(n=2, m=1, gamma=4, family="doubly_regular", allow_multi=True)
 
 
-# ----------------------------------------------------------- degree_sequence
+# ------------------------------------------------------ balanced degree split
+
+
+def degree_split(n, m, gamma, rng):
+    """Agent degrees of a multi-edge doubly regular design: the balanced split itself."""
+    spec = DesignSpec(n=n, m=m, gamma=gamma, family="doubly_regular", allow_multi=True)
+    return generate(spec, rng).agent_degrees
 
 
 def test_degree_sequence_forced_examples():
     rng = np.random.default_rng(0)
-    seq = degree_sequence(5, 2, 3, rng)
+    seq = degree_split(5, 2, 3, rng)
     assert sorted(seq.tolist()) == [1, 1, 1, 1, 2]
     assert int(seq.sum()) == 6
 
-    seq = degree_sequence(4, 2, 2, rng)
+    seq = degree_split(4, 2, 2, rng)
     assert seq.tolist() == [1, 1, 1, 1]
 
-    seq = degree_sequence(3, 3, 2, rng)
+    seq = degree_split(3, 3, 2, rng)
     assert seq.tolist() == [2, 2, 2]
 
 
@@ -78,7 +82,7 @@ def test_degree_sequence_randomized_grid():
         n = int(rng.integers(1, 50))
         m = int(rng.integers(1, 50))
         gamma = int(rng.integers(1, 50))
-        seq = degree_sequence(n, m, gamma, rng)
+        seq = degree_split(n, m, gamma, rng)
         assert int(seq.sum()) == m * gamma
         assert int(seq.max() - seq.min()) <= 1
         assert seq.mean() == pytest.approx(m * gamma / n)
@@ -89,7 +93,7 @@ def test_degree_sequence_surplus_agents_are_random():
     rng = np.random.default_rng(3)
     hits = np.zeros(5)
     for _ in range(2000):
-        seq = degree_sequence(5, 2, 3, rng)  # one agent gets degree 2
+        seq = degree_split(5, 2, 3, rng)  # one agent gets degree 2
         hits[np.argmax(seq)] += 1
     # each agent should carry the surplus about 400 times; 5 sigma ~ 90
     assert hits.min() > 250
@@ -352,10 +356,8 @@ def test_simplify_rejects_unequal_query_degrees():
 
 def shuffled_members(n, m, gamma, seed):
     """The (m, gamma) member matrix the doubly regular generator hands to the repair."""
-    rng = np.random.default_rng(seed)
-    degrees = degree_sequence(n, m, gamma, rng)
-    stubs = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), degrees))
-    return stubs.reshape(m, gamma)
+    spec = DesignSpec(n=n, m=m, gamma=gamma, family="doubly_regular", allow_multi=True)
+    return pooledsim.designs._doubly_regular_members(spec, np.random.default_rng(seed))
 
 
 def repair_outcome(repair, seed):
@@ -565,14 +567,3 @@ def test_edge_list_degrees_are_exact_int64():
     assert graph.query_degrees.tolist() == [top]
     assert graph.agent_degrees.tolist() == [top]
     assert graph.distinct_agent_degrees.tolist() == [1]
-
-
-# ------------------------------------------------------------- gamma window
-
-
-def test_theoretical_gamma_window_monotone_in_m():
-    lo1, hi1 = theoretical_gamma_window(n=1000, m=100, p=0.01)
-    lo2, hi2 = theoretical_gamma_window(n=1000, m=400, p=0.01)
-    assert lo2 < lo1
-    assert hi1 == hi2
-    assert hi1 == pytest.approx(1000**0.95)

@@ -246,3 +246,14 @@ def test_run_sweep_rejects_bad_family():
         run_sweep(config, [100], [("bernoulli", True)], trials_per_point=2)
     with pytest.raises(ValueError):
         run_sweep(config, [], [("bernoulli", False)], trials_per_point=2)
+
+
+@pytest.mark.parametrize(
+    "m_grid, families",
+    [([100, 100], [("doubly_regular", False)]),
+     ([100], [("doubly_regular", False), ("doubly_regular", False)])],
+    ids=["m", "family"],
+)
+def test_run_sweep_rejects_repeated_sweep_points(m_grid, families):
+    with pytest.raises(ValueError, match="must not repeat a sweep point"):
+        run_sweep(make_config(), m_grid, families, trials_per_point=3)

@@ -6,10 +6,7 @@ from pooledsim.model import (
     ChannelMatrix,
     FixedPrior,
     GroundTruth,
-    UndefinedMetricError,
     eps_recovery,
-    hamming_distance,
-    overlap,
     sample_ground_truth,
 )
 
@@ -53,30 +50,32 @@ def test_sample_rejects_bad_arguments():
         sample_ground_truth(0, FixedPrior(0), rng)
 
 
+def hamming_of(a, b):
+    return eps_recovery(GroundTruth(np.asarray(a)), b, epsilon=0.5).hamming
+
+
+def overlap_of(truth, estimate):
+    return eps_recovery(truth, estimate, epsilon=0.5).overlap
+
+
 def test_hamming_distance_examples():
-    assert hamming_distance(np.array([1, 0, 1]), np.array([1, 0, 1])) == 0
-    assert hamming_distance(np.array([1, 1, 0, 0]), np.array([1, 0, 0, 0])) == 1
-    assert hamming_distance(np.array([0, 0]), np.array([1, 1])) == 2
+    assert hamming_of(np.array([1, 0, 1]), np.array([1, 0, 1])) == 0
+    assert hamming_of(np.array([1, 1, 0, 0]), np.array([1, 0, 0, 0])) == 1
+    assert hamming_of(np.array([0, 0]), np.array([1, 1])) == 2
 
 
 def test_hamming_distance_length_mismatch():
-    with pytest.raises(ValueError):
-        hamming_distance(np.array([1, 0]), np.array([1, 0, 1]))
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        hamming_of(np.array([1, 0]), np.array([1, 0, 1]))
 
 
 def test_overlap_examples():
     truth = GroundTruth(np.array([1, 1, 0, 0]))
-    assert overlap(truth, np.array([1, 0, 0, 0])) == 0.5
+    assert overlap_of(truth, np.array([1, 0, 0, 0])) == 0.5
     truth2 = GroundTruth(np.array([1, 0, 1]))
-    assert overlap(truth2, np.array([1, 0, 1])) == 1.0
+    assert overlap_of(truth2, np.array([1, 0, 1])) == 1.0
     truth3 = GroundTruth(np.array([1, 1, 1, 0]))
-    assert overlap(truth3, np.array([0, 0, 0, 1])) == 0.0
-
-
-def test_overlap_undefined_for_zero_support():
-    truth = GroundTruth(np.zeros(4, dtype=np.int8))
-    with pytest.raises(UndefinedMetricError):
-        overlap(truth, np.zeros(4, dtype=np.int8))
+    assert overlap_of(truth3, np.array([0, 0, 0, 1])) == 0.0
 
 
 def test_eps_recovery_within_budget():
@@ -97,6 +96,7 @@ def test_eps_recovery_zero_budget_met_exactly():
     truth = GroundTruth(np.zeros(6, dtype=np.int8))
     report = eps_recovery(truth, np.zeros(6, dtype=np.int8), epsilon=0.1)
     assert report.hamming == 0
+    assert report.overlap == 1.0  # vacuous: no one-bits to recover
     assert report.eps_ok
 
 
@@ -108,10 +108,10 @@ def test_hamming_decomposes_into_misses_and_false_positives():
         estimate = (rng.random(n) < 0.5).astype(np.int8)
         misses = int(np.count_nonzero((truth.bits == 1) & (estimate == 0)))
         false_pos = int(np.count_nonzero((truth.bits == 0) & (estimate == 1)))
-        assert hamming_distance(truth, estimate) == misses + false_pos
+        assert hamming_of(truth.bits, estimate) == misses + false_pos
         if truth.ones:
             hits = truth.ones - misses
-            assert overlap(truth, estimate) == hits / truth.ones
+            assert overlap_of(truth, estimate) == hits / truth.ones
 
 
 def test_eps_recovery_monotone_in_error_positions():
@@ -156,6 +156,18 @@ def test_ground_truth_counts_ones_and_freezes_bits():
     assert truth.ones == 3
     assert truth.n == 4
     assert not truth.bits.flags.writeable
+
+
+def test_ground_truth_copies_the_callers_array():
+    bits = np.array([1, 0, 1, 0], dtype=np.int8)
+    GroundTruth(bits)
+    assert bits.flags.writeable
+    truth = GroundTruth(bits[:])
+    assert truth.ones == 2
+    bits[1] = 1
+    assert truth.ones == int(np.count_nonzero(truth.bits)) == 2
+    report = eps_recovery(truth, bits, epsilon=0.25)
+    assert (report.hamming, report.overlap, report.eps_ok) == (1, 1.0, True)
 
 
 @pytest.mark.parametrize(

@@ -100,3 +100,51 @@ def test_every_public_name_has_a_user_outside_the_tests():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", outside)
     ]
     assert test_only == [], "public names that only the tests use"
+
+
+def _benchmark_imports() -> set[tuple[str, tuple[str, ...]]]:
+    """``(module, attribute path)`` for every name that ``perfbench/*.py`` takes from pooledsim.
+
+    Covers ``import pooledsim[.mod] [as y]``, ``from pooledsim[.mod] import x [as y]``
+    and attribute chains such as ``ps.x.y`` or ``self.ps.x`` on a module alias.
+    """
+    found = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "pooledsim":
+                        found.add((alias.name, ()))
+                        aliases[alias.asname or "pooledsim"] = (
+                            alias.name if alias.asname else "pooledsim"
+                        )
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pooledsim"):
+                found.update((node.module, (alias.name,)) for alias in node.names)
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if not chain or not isinstance(node, ast.Name):
+                continue
+            chain.insert(0, node.id)
+            root = next((i for i, part in enumerate(chain[:-1]) if part in aliases), None)
+            if root is not None:
+                found.add((aliases[chain[root]], tuple(chain[root + 1:])))
+    return found
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    imports = _benchmark_imports()
+    assert {path[0] for _, path in imports if path} >= {"compute_score_vector", "eps_recovery"}
+    missing = []
+    for module, path in sorted(imports):
+        obj = importlib.import_module(module)
+        for depth, attr in enumerate(path):
+            if not hasattr(obj, attr):
+                missing.append(".".join([module, *path[: depth + 1]]))
+                break
+            obj = getattr(obj, attr)
+    assert missing == [], "names the benchmark takes from pooledsim that do not exist"
