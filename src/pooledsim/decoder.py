@@ -24,7 +24,6 @@ __all__ = [
     "decode",
     "compute_score_vector",
     "required_queries",
-    "error_exponents",
     "counting_bound",
     "entropy",
 ]
@@ -54,7 +53,9 @@ class BoundReport:
     ``bound`` is the real-valued right-hand side of the main query bound,
     ``m_min`` the smallest integer strictly above it, and ``m_floor`` the
     smallest integer count at which the threshold is defined at all.  The
-    exponents and Markov tails are evaluated at m = m_min.
+    exponents fraction^2 * rate * m and (1 - fraction)^2 * rate * m, and the
+    Markov tails on more than epsilon * n * p misclassifications on either
+    side, are evaluated at m = m_min.
     """
 
     rate: float
@@ -143,28 +144,6 @@ def compute_score_vector(
     )
 
 
-def error_exponents(
-    rate: float, m: int, p: float, epsilon: float, delta: float
-) -> tuple[float, float, float, float]:
-    """False-positive/false-negative exponents and Markov tails at the optimum.
-
-    Returns (fp_exponent, fn_exponent, fp_tail, fn_tail) where the exponents
-    are fraction^2 * rate * m and (1 - fraction)^2 * rate * m, and the tails
-    bound the probability of more than epsilon * n * p misclassifications on
-    either side.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    fraction = threshold_fraction(rate, m, p)
-    fp_exponent = fraction * fraction * rate * m
-    fn_exponent = (1.0 - fraction) ** 2 * rate * m
-    fp_tail = 2.0 * (1.0 - p) * math.exp(-fp_exponent) / (epsilon * p)
-    fn_tail = 2.0 * math.exp(-fn_exponent) / epsilon
-    return fp_exponent, fn_exponent, fp_tail, fn_tail
-
-
 def required_queries(
     n: int, p: float, epsilon: float, delta: float, channel: ChannelMatrix
 ) -> BoundReport:
@@ -187,17 +166,19 @@ def required_queries(
     bound = (log_inv_p + 2.0 * log_target + 2.0 * math.sqrt(log_target * log_target_p)) / rate
     m_min = math.floor(bound) + 1
     m_floor = math.floor(log_inv_p / rate) + 1
-    fp_exponent, fn_exponent, fp_tail, fn_tail = error_exponents(rate, m_min, p, epsilon, delta)
+    fraction = threshold_fraction(rate, m_min, p)
+    fp_exponent = fraction * fraction * rate * m_min
+    fn_exponent = (1.0 - fraction) ** 2 * rate * m_min
     return BoundReport(
         rate=rate,
         bound=bound,
         m_min=m_min,
         m_floor=m_floor,
-        threshold_fraction=threshold_fraction(rate, m_min, p),
+        threshold_fraction=fraction,
         fp_exponent=fp_exponent,
         fn_exponent=fn_exponent,
-        fp_tail=fp_tail,
-        fn_tail=fn_tail,
+        fp_tail=2.0 * (1.0 - p) * math.exp(-fp_exponent) / (epsilon * p),
+        fn_tail=2.0 * math.exp(-fn_exponent) / epsilon,
     )
 
 

@@ -32,6 +32,7 @@ FAMILIES = ("bernoulli", "one_sided_regular", "doubly_regular")
 _CHUNK_CELLS = 8_000_000
 
 _MAX_SWAP_FACTOR = 100
+_MAX_OVERLAY_FRACTION = 0.01  # swap repair rebuilds its pair index past this overlay share
 
 
 class SimplificationError(RuntimeError):
@@ -117,14 +118,19 @@ def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
     """Generate a pooling graph for any design family."""
     if spec.family == "bernoulli":
         keys = _bernoulli_keys(spec, rng)
-        mult = np.ones(keys.size, dtype=np.int64)
     else:
         if spec.family == "one_sided_regular":
             members = _one_sided_members(spec, rng)
         else:
             members = _doubly_regular_members(spec, rng)
         # Row q of the (m, gamma) member matrix holds query q's agents.
-        keys, mult = np.unique(members * spec.m + np.arange(spec.m)[:, None], return_counts=True)
+        keys = (members * spec.m + np.arange(spec.m)[:, None]).reshape(-1)
+        if not spec.allow_multi:
+            keys.sort()  # the keys of a simple design are all distinct
+    if spec.allow_multi:
+        keys, mult = np.unique(keys, return_counts=True)
+    else:
+        mult = np.ones(keys.size, dtype=np.int64)
     agents, queries = np.divmod(keys, spec.m)
     return PoolingGraph(spec.n, spec.m, spec.gamma, agents, queries, mult)
 
@@ -191,7 +197,7 @@ def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.nd
     Fisher-Yates shuffle, hence uniform over matchings).  Slots are laid out
     query-major: slot ``i`` belongs to query ``i // gamma``, so the shuffled
     stubs reshape into the ``(m, gamma)`` member matrix of the queries.
-    Without ``allow_multi`` that matrix is repaired row by row with
+    Without ``allow_multi`` that matrix is repaired in place with
     double-edge swaps (see :func:`_repair_slots`), which may raise
     :class:`SimplificationError`.
     """
@@ -207,17 +213,20 @@ def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.nd
     return members
 
 
-def _pair_counts(index: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Multiplicity of each ``query * n + agent`` key in the sorted index.
+def _pair_counts(index: tuple[np.ndarray, ...], keys: np.ndarray) -> np.ndarray:
+    """Multiplicity of each ``query * n + agent`` key in the overlay ``index``.
 
-    Probing in sorted order keeps ``searchsorted`` cache-friendly.
+    ``index`` is three sorted arrays ``(base, added, removed)``; a key counts
+    once per copy in ``base`` and ``added`` and minus once per copy in
+    ``removed``.  Probing in sorted order keeps ``searchsorted`` cache-friendly.
     """
     order = np.argsort(keys)
     probes = keys[order]
-    counts = np.empty(keys.size, dtype=np.int64)
-    counts[order] = np.searchsorted(index, probes, side="right") - np.searchsorted(
-        index, probes, side="left"
+    base, added, removed = (
+        np.searchsorted(arr, probes, side="right") - np.searchsorted(arr, probes) for arr in index
     )
+    counts = np.empty(keys.size, dtype=np.int64)
+    counts[order] = base + added - removed
     return counts
 
 
@@ -240,9 +249,9 @@ def _repair_slots(
     ``members`` must be a C-contiguous int64 array.  Flat slot ``i`` is query
     ``i // gamma``.  Surplus copies are the repeats of an agent within a row
     after the first in slot order, and they are repaired in
-    ``(agent * m + query, slot)`` order.  Membership of a pair is looked up in
-    ``index``, the rows of ``query * n + agent`` keys kept sorted, which
-    flattened is one globally sorted array.
+    ``(agent * m + query, slot)`` order.  Pairs are counted in an overlay (see
+    :func:`_pair_counts`) that each batch's swaps extend, and whose base is
+    rebuilt from ``members`` once it passes ``_MAX_OVERLAY_FRACTION`` of it.
     """
     n_queries, gamma = members.shape
     if gamma > n_agents:
@@ -264,15 +273,17 @@ def _repair_slots(
     by_agent.sort(axis=1)
     index = by_agent // gamma
     index += row_keys
-    flat_index = index.reshape(-1)
+    index = index.reshape(-1)  # globally sorted: row q's keys lie in [q * n, (q + 1) * n)
 
     # One repair slot per surplus copy of each duplicated pair.
-    rows, cols = np.nonzero(index[:, 1:] == index[:, :-1])
-    cols += 1
-    dup_slots = rows * gamma + by_agent[rows, cols] % gamma
-    dup_keys = (index[rows, cols] - rows * n) * m + rows
+    dup = np.flatnonzero(index[1:] == index[:-1]) + 1
+    rows = dup // gamma
+    dup_slots = rows * gamma + by_agent.reshape(-1)[dup] % gamma
+    dup_keys = (index[dup] - rows * n) * m + rows
     del by_agent
     pending = dup_slots[np.lexsort((dup_slots, dup_keys))]
+    empty = np.empty(0, dtype=np.int64)
+    overlay = (index, empty, empty)
 
     while pending.size:
         if attempts >= budget:
@@ -291,17 +302,21 @@ def _repair_slots(
         # creates the same new pair as another swap.
         probes = np.concatenate([b * n + u, a * n + v])
         slots = np.concatenate([pending, partners])
-        blocked = (_pair_counts(flat_index, probes) > 0) | _repeated(slots) | _repeated(probes)
+        blocked = (_pair_counts(overlay, probes) > 0) | _repeated(slots) | _repeated(probes)
         ok = (u != v) & (a != b) & ~blocked.reshape(2, -1).any(axis=0)
 
         applied = np.flatnonzero(ok)
         agents[pending[applied]] = v[applied]
         agents[partners[applied]] = u[applied]
-        changed = np.unique(np.concatenate([a[applied], b[applied]]))
-        resorted = members[changed]
-        resorted.sort(axis=1)
-        resorted += row_keys[changed]
-        index[changed] = resorted
+        base, added, removed = overlay
+        if added.size + 2 * applied.size > _MAX_OVERLAY_FRACTION * base.size:
+            base = members + row_keys
+            base.sort(axis=1)
+            overlay = (base.reshape(-1), empty, empty)
+        else:
+            made = probes.reshape(2, -1)[:, applied]
+            broken = np.stack([a * n + u, b * n + v])[:, applied]
+            overlay = (base, np.sort(np.append(added, made)), np.sort(np.append(removed, broken)))
 
         # A rejected slot kept its agent (a slot both pending and a partner is
         # blocked), so the survivors stay in (agent * m + query, slot) order
@@ -312,7 +327,7 @@ def _repair_slots(
         rem_keys = (remaining // gamma) * n + agents[remaining]
         run_start = np.flatnonzero(np.diff(rem_keys, prepend=-1))
         run_len = np.diff(run_start, append=remaining.size)
-        surplus = _pair_counts(flat_index, rem_keys[run_start]) - 1
+        surplus = _pair_counts(overlay, rem_keys[run_start]) - 1
         pos_in_run = np.arange(remaining.size) - np.repeat(run_start, run_len)
         pending = remaining[pos_in_run < np.repeat(surplus, run_len)]
 
@@ -381,14 +396,18 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
 
     # The rules above make the triples canonical: they are the graph's arrays.
     graph = PoolingGraph(n, m, gamma, agent_arr, query_arr, mult_arr)
+    # Regular families fix each query's degree; doubly regular splits m * gamma evenly over agents.
+    degree_rules = []
+    if family != "bernoulli":
+        degree_rules.append(("query", graph.query_degrees, gamma, gamma, f"gamma={gamma}"))
     if family == "doubly_regular":
-        off = np.flatnonzero(graph.query_degrees != gamma)
+        low, extra = divmod(m * gamma, n)
+        want = f"{low} or {low + 1}" if extra else f"{low}"
+        degree_rules.append(("agent", graph.agent_degrees, low, low + (extra > 0), want))
+    for end, deg, low, high, want in degree_rules:
+        off = np.flatnonzero((deg < low) | (deg > high))
         if off.size:
-            query = int(off[0])
-            raise ValueError(
-                f"doubly_regular query {query} has degree {int(graph.query_degrees[query])}, "
-                f"expected gamma={gamma}"
-            )
+            raise ValueError(f"{family} {end} {off[0]} has degree {deg[off[0]]}, expected {want}")
     return spec, graph
 
 

@@ -20,7 +20,6 @@ from pooledsim.decoder import (
     counting_bound,
     decode,
     entropy,
-    error_exponents,
     rate_constant,
     required_queries,
     threshold_fraction,
@@ -245,7 +244,9 @@ def test_decode_pipeline_matches_naive_replay():
 
 
 def test_error_exponents_frozen_values():
-    fp_exp, fn_exp, fp_tail, fn_tail = error_exponents(0.005, 5119, 0.1, 0.1, 0.1)
+    report = required_queries(1000, 0.1, 0.1, 0.1, IDENT)
+    assert report.rate == pytest.approx(0.005, rel=1e-12) and report.m_min == 5119
+    fp_exp, fn_exp = report.fp_exponent, report.fn_exponent
     lm = 0.005 * 5119
     log10 = math.log(10)
     assert fp_exp == pytest.approx(0.25 * lm + 0.5 * log10 + log10**2 / (4 * lm), rel=1e-12)
@@ -254,25 +255,22 @@ def test_error_exponents_frozen_values():
     # sufficiency cross-checks from the optimization
     assert fp_exp >= math.log(2000)
     assert fn_exp >= math.log(200)
-    assert fp_tail == pytest.approx(2 * 0.9 * math.exp(-fp_exp) / 0.01)
-    assert fn_tail == pytest.approx(2 * math.exp(-fn_exp) / 0.1)
-
-
-def test_error_exponents_symmetric_at_p_one():
-    fp_exp, fn_exp, _, _ = error_exponents(0.01, 400, 1.0, 0.2, 0.2)
-    assert fp_exp == pytest.approx(0.01 * 400 / 4)
-    assert fn_exp == pytest.approx(fp_exp)
+    assert report.fp_tail == pytest.approx(2 * 0.9 * math.exp(-fp_exp) / 0.01)
+    assert report.fn_tail == pytest.approx(2 * math.exp(-fn_exp) / 0.1)
 
 
 def test_error_exponents_identity_sums_to_rate_m():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        rate = rng.uniform(1e-4, 0.5)
-        p = rng.uniform(0.01, 0.99)
-        m = int(math.log(1 / p) / rate) + int(rng.integers(2, 5000))
-        fp_exp, fn_exp, _, _ = error_exponents(rate, m, p, 0.1, 0.1)
+        n = int(rng.integers(10, 10**5))
+        p = float(rng.uniform(0.01, 0.99))
+        s01 = float(rng.uniform(0, 0.5))
+        s11 = float(rng.uniform(s01 + 0.05, 1.0))
+        eps, delta = rng.uniform(0.01, 0.9, size=2)
+        report = required_queries(n, p, float(eps), float(delta), ChannelMatrix(s11=s11, s01=s01))
+        fp_exp, fn_exp = report.fp_exponent, report.fn_exponent
         total = fp_exp + fn_exp + 2 * math.sqrt(fp_exp * fn_exp)
-        assert total == pytest.approx(rate * m, rel=1e-9)
+        assert total == pytest.approx(report.rate * report.m_min, rel=1e-9)
 
 
 def test_tails_below_delta_at_m_min_grid():

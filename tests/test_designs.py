@@ -1,4 +1,5 @@
 import io
+import math
 import warnings
 
 import numpy as np
@@ -391,11 +392,21 @@ def assert_repairs_agree(members, n, seed):
         (40, 30, 30, 10),
         (1000, 300, 100, 3),  # the figure point
         (10**4, 1000, 500, 2),
+        (10**4, 5938, 500, 2),  # the soundness point: a batch rewrites nearly every row
     ],
 )
 def test_repair_slots_matches_reference(n, m, gamma, seeds):
     for seed in range(seeds):
         assert_repairs_agree(shuffled_members(n, m, gamma, seed), n, seed + 10**6)
+
+
+@pytest.mark.parametrize("fraction", [0.0, math.inf], ids=["fold-every-batch", "never-fold"])
+@pytest.mark.parametrize("n, m, gamma, seeds", [(8, 6, 6, 20), (40, 30, 30, 10)])
+def test_repair_slots_matches_reference_whether_the_overlay_folds(
+    monkeypatch, fraction, n, m, gamma, seeds
+):
+    monkeypatch.setattr(pooledsim.designs, "_MAX_OVERLAY_FRACTION", fraction)
+    test_repair_slots_matches_reference(n, m, gamma, seeds)
 
 
 def test_repair_slots_matches_reference_when_budget_is_spent(monkeypatch):
@@ -430,6 +441,38 @@ def test_generate_doubly_regular_simple_variant_is_simple():
     assert is_simple(graph)
     assert (graph.query_degrees == 12).all()
     assert graph.distinct_agent_degrees.tolist() == graph.agent_degrees.tolist()
+
+
+MEMBERS_OF = {
+    "doubly_regular": pooledsim.designs._doubly_regular_members,
+    "one_sided_regular": pooledsim.designs._one_sided_members,
+}
+
+
+@pytest.mark.parametrize("family", sorted(MEMBERS_OF))
+@pytest.mark.parametrize(
+    "n, m, gamma",
+    [
+        (60, 40, 30),
+        (1000, 300, 100),
+        (10, 8, 10),  # gamma = n: full rows (np.tile for one-sided)
+        (1, 3, 1),
+    ],
+)
+def test_simple_generate_sorts_like_unique(family, n, m, gamma):
+    # A simple design's keys are all distinct, so a sort gives np.unique's arrays.
+    spec = DesignSpec(n=n, m=m, gamma=gamma, family=family)
+    for seed in range(5):
+        graph = generate(spec, np.random.default_rng(seed))
+        members = MEMBERS_OF[family](spec, np.random.default_rng(seed))
+        keys, mult = np.unique(members * m + np.arange(m)[:, None], return_counts=True)
+        agents, queries = np.divmod(keys, m)
+        for got, want in zip(
+            (graph.edge_agents, graph.edge_queries, graph.edge_mult), (agents, queries, mult)
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert (graph.edge_mult == 1).all()
 
 
 # ----------------------------------------------------------- distinct degrees
@@ -481,7 +524,7 @@ def test_edge_list_round_trip_and_header():
 
 
 def test_edge_list_round_trip_with_multiplicities():
-    graph = graph_from_pairs(3, 2, 4, [(0, 0), (0, 0), (1, 0), (2, 1), (2, 1), (2, 1)])
+    graph = graph_from_pairs(3, 2, 3, [(0, 0), (0, 0), (1, 0), (2, 1), (2, 1), (2, 1)])
     buf = io.StringIO()
     write_edge_list(buf, graph, "one_sided_regular", True)
     text = buf.getvalue()
@@ -512,6 +555,15 @@ def test_edge_list_round_trip_with_multiplicities():
         ("2 1 2 one_sided_regular true\n0 0 1\n0 0 1\n", "line 3: repeats the line before"),
         ("2 1 2 one_sided_regular false\n\n1 0 1\n0 0 1\n", "line 4: precedes the line before"),
         ("3 2 2 doubly_regular false\n0 0 1\n1 0 1\n1 1 1\n", "query 1 has degree 1, expected gamma=2"),
+        (
+            "3 2 2 one_sided_regular false\n0 0 1\n1 0 1\n1 1 1\n",
+            "^one_sided_regular query 1 has degree 1, expected gamma=2$",
+        ),
+        (
+            "3 2 2 doubly_regular false\n0 0 1\n0 1 1\n1 0 1\n1 1 1\n",
+            "^doubly_regular agent 2 has degree 0, expected 1 or 2$",
+        ),
+        ("2 2 1 doubly_regular false\n0 0 1\n0 1 1\n", "^doubly_regular agent 0 has degree 2, expected 1$"),
         ("2 1 2 one_sided_regular false\n0 0 1\n5 0 1\n", r"line 3: agent outside 0\.\.1"),
         ("x 1 2 one_sided_regular true\n", "malformed header"),
         ("2 1 2 one_sided_regular true\n\n0 x 1\n", "line 3: expected an integer"),
@@ -528,6 +580,7 @@ def test_edge_list_round_trip_with_multiplicities():
     ],
     ids=[
         "no-multi-flag", "empty", "multi-false", "mult-zero", "duplicate", "unsorted", "dr-degree",
+        "one-sided-degree", "dr-agent-degree", "dr-agent-degree-exact",
         "agent-range", "header-non-integer", "query-non-integer", "mult-non-integer",
         "int64-overflow", "comment", "two-fields", "four-fields", "underscore-digits",
     ],
