@@ -36,11 +36,14 @@ def run_queries(
     if truth.n != graph.n_agents:
         raise ValueError(f"truth has {truth.n} agents but graph has {graph.n_agents}")
     if {channel.s11, channel.s01} <= {0.0, 1.0}:
-        # Every copy of an edge reads the same bit: weight each edge by its
-        # multiplicity instead of repeating it.
-        read = np.where(truth.bits == 1, channel.s11, channel.s01)
-        queries = graph.edge_queries
-        weights = read[graph.edge_agents] * graph.edge_mult
+        # Only the edges of agents that read one add to a result, and every copy
+        # of an edge reads the same bit: weight each edge by its multiplicity.
+        ones = np.flatnonzero(np.where(truth.bits == 1, channel.s11, channel.s01))
+        starts, lengths = graph.agent_starts[ones], graph.distinct_agent_degrees[ones]
+        # Segment i's edges are numbered from lengths[:i].sum() on; shift them to starts[i].
+        edges = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        queries = graph.edge_queries[edges]
+        weights = graph.edge_mult[edges]
     else:
         agents = np.repeat(graph.edge_agents, graph.edge_mult)
         queries = np.repeat(graph.edge_queries, graph.edge_mult)

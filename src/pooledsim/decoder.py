@@ -134,11 +134,10 @@ def compute_score_vector(
         raise ValueError(
             f"outcomes cover {outcomes.results.size} queries but graph has {graph.n_queries}"
         )
-    contributions = outcomes.results[graph.edge_queries].astype(np.float64)
     neighborhood = graph.gamma * graph.distinct_agent_degrees - graph.agent_degrees
     fraction = threshold_fraction(rate, m, p)
     return ScoreVector(
-        scores=np.bincount(graph.edge_agents, weights=contributions, minlength=graph.n_agents),
+        scores=graph.agent_sums(outcomes.results[graph.edge_queries]).astype(np.float64),
         centers=neighborhood * effective_p(p, channel),
         thresholds=graph.agent_degrees * (channel.s01 + fraction * (channel.s11 - channel.s01)),
     )

@@ -73,9 +73,10 @@ class PoolingGraph:
     """Bipartite multigraph between agents and queries.
 
     Edges are stored as unique (agent, query) pairs with multiplicities, sorted
-    lexicographically, in three read-only arrays.  ``gamma`` carries the
-    design's nominal agents-per-query so decoder centering can be computed
-    from the graph alone.
+    lexicographically, in three read-only arrays.  The agent-major order puts
+    each agent's edges in one contiguous segment, which :attr:`agent_starts`
+    indexes.  ``gamma`` carries the design's nominal agents-per-query so
+    decoder centering can be computed from the graph alone.
     """
 
     n_agents: int
@@ -90,28 +91,37 @@ class PoolingGraph:
             arr.setflags(write=False)
 
     @cached_property
+    def agent_starts(self) -> np.ndarray:
+        """Offsets: agent ``i``'s edges are ``agent_starts[i]:agent_starts[i + 1]``."""
+        return _read_only(np.searchsorted(self.edge_agents, np.arange(self.n_agents + 1)))
+
+    def agent_sums(self, edge_values: np.ndarray) -> np.ndarray:
+        """Per-agent int64 sums of a per-edge array, as differences of one running sum."""
+        running = np.zeros(edge_values.size + 1, dtype=np.int64)
+        np.cumsum(edge_values, out=running[1:])  # wraps mod 2**64, and the differences wrap back
+        return np.diff(running[self.agent_starts])
+
+    @cached_property
     def agent_degrees(self) -> np.ndarray:
         """Per-agent edge counts, multiplicities included."""
-        return self._degrees(self.edge_agents, self.n_agents)
+        return _read_only(self.agent_sums(self.edge_mult))
 
     @cached_property
     def query_degrees(self) -> np.ndarray:
         """Per-query edge counts, multiplicities included."""
-        return self._degrees(self.edge_queries, self.n_queries)
-
-    def _degrees(self, ends: np.ndarray, size: int) -> np.ndarray:
-        """Exact int64 sums of the multiplicities at each endpoint, read-only."""
-        deg = np.zeros(size, dtype=np.int64)
-        np.add.at(deg, ends, self.edge_mult)
-        deg.setflags(write=False)
-        return deg
+        deg = np.zeros(self.n_queries, dtype=np.int64)
+        np.add.at(deg, self.edge_queries, self.edge_mult)
+        return _read_only(deg)
 
     @cached_property
     def distinct_agent_degrees(self) -> np.ndarray:
         """Per-agent number of distinct incident queries."""
-        deg = np.bincount(self.edge_agents, minlength=self.n_agents).astype(np.int64)
-        deg.setflags(write=False)
-        return deg
+        return _read_only(np.diff(self.agent_starts))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
@@ -232,8 +242,12 @@ def _pair_counts(index: tuple[np.ndarray, ...], keys: np.ndarray) -> np.ndarray:
 
 def _repeated(values: np.ndarray) -> np.ndarray:
     """Mask of the entries of ``values`` that occur more than once in it."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return counts[inverse] > 1
+    order = np.argsort(values)
+    ordered = values[order]
+    equal = np.concatenate([[False], ordered[1:] == ordered[:-1], [False]])  # to the left neighbour
+    mask = np.empty(values.size, dtype=bool)
+    mask[order] = equal[1:] | equal[:-1]
+    return mask
 
 
 def _repair_slots(

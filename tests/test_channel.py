@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import graph_from_pairs, read_bit
+from oracles import graph_from_pairs, naive_noiseless_results, read_bit
 from pooledsim.channel import effective_p, run_queries
 from pooledsim.designs import DesignSpec, generate
 from pooledsim.model import BernoulliPrior, ChannelMatrix, GroundTruth, sample_ground_truth
@@ -68,6 +68,35 @@ def test_run_queries_deterministic_channels_are_exact_member_sums(s11, s01):
     np.add.at(expected, graph.edge_queries, graph.edge_mult * read[graph.edge_agents])
     assert out.results.tolist() == expected.tolist()
     assert rng.bit_generator.state == state
+
+
+# A noiseless query reads only the edges of agents whose bit is one.
+NOISELESS_CASES = {
+    "no-ones": (DesignSpec(n=40, m=25, gamma=12, family="doubly_regular", allow_multi=True),
+                lambda n: np.zeros(n, dtype=np.int8)),
+    "all-ones": (DesignSpec(n=40, m=25, gamma=12, family="doubly_regular", allow_multi=True),
+                 lambda n: np.ones(n, dtype=np.int8)),
+    "edgeless-ones": (DesignSpec(n=60, m=4, gamma=2, family="bernoulli"),
+                      lambda n: (np.arange(n) % 2).astype(np.int8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISELESS_CASES))
+def test_run_queries_noiseless_edge_cases_match_per_read_oracle(case):
+    spec, make_bits = NOISELESS_CASES[case]
+    graph = generate(spec, np.random.default_rng(8))
+    bits = make_bits(spec.n)
+    if case == "edgeless-ones":
+        one_degrees = graph.distinct_agent_degrees[bits == 1]
+        assert (one_degrees == 0).any() and (one_degrees > 0).any()
+    rng = np.random.default_rng(10)
+    state = rng.bit_generator.state
+    out = run_queries(graph, GroundTruth(bits), ChannelMatrix.identity(), rng)
+    assert out.results.dtype == np.int64
+    assert out.results.tolist() == naive_noiseless_results(graph, bits)
+    assert rng.bit_generator.state == state
+    if case == "no-ones":
+        assert not out.results.any()
 
 
 def test_run_queries_rejects_truth_of_wrong_length():

@@ -17,6 +17,8 @@ from oracles import (
     same_graph,
     simplify,
 )
+from pooledsim.channel import QueryOutcomes
+from pooledsim.decoder import compute_score_vector
 from pooledsim.designs import (
     DesignSpec,
     SimplificationError,
@@ -24,6 +26,7 @@ from pooledsim.designs import (
     read_edge_list,
     write_edge_list,
 )
+from pooledsim.model import ChannelMatrix
 
 
 def log_choose(n, k):
@@ -475,6 +478,14 @@ def test_simple_generate_sorts_like_unique(family, n, m, gamma):
         assert (graph.edge_mult == 1).all()
 
 
+def test_repeated_marks_what_unique_counts_twice():
+    rng = np.random.default_rng(3)
+    for values in (rng.integers(0, 5, 40), rng.integers(0, 10**6, 2000), np.arange(7), [4]):
+        values = np.asarray(values, dtype=np.int64)
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        assert np.array_equal(pooledsim.designs._repeated(values), counts[inverse] > 1)
+
+
 # ----------------------------------------------------------- distinct degrees
 
 
@@ -620,3 +631,66 @@ def test_edge_list_degrees_are_exact_int64():
     assert graph.query_degrees.tolist() == [top]
     assert graph.agent_degrees.tolist() == [top]
     assert graph.distinct_agent_degrees.tolist() == [1]
+
+
+def test_edge_list_agent_degrees_survive_a_wrapping_running_sum():
+    # The running sum of the multiplicities passes 2**63 at agent 2; each
+    # agent's difference of it wraps back to the agent's own multiplicity.
+    top = np.iinfo(np.int64).max
+    lines = [f"3 2 {top} one_sided_regular true", f"0 0 {top}", f"2 1 {top}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, graph = read_edge_list(lines)
+        assert graph.agent_degrees.tolist() == [top, 0, top]
+        assert graph.distinct_agent_degrees.tolist() == [1, 0, 1]
+
+
+# ------------------------------------------------------------- agent offsets
+
+# Sparse Bernoulli graphs leave agents without edges, agent 0 and agent n - 1
+# among them; the listed pairs leave agents 0, 2, 4 and 6 edgeless and repeat
+# the pair (1, 0); the DR/multi graph has multi-edges.
+OFFSET_GRAPHS = {
+    "bernoulli-sparse": lambda: generate(
+        DesignSpec(n=50, m=3, gamma=1, family="bernoulli"), np.random.default_rng(4)
+    ),
+    "bernoulli-figure": lambda: generate(
+        DesignSpec(n=1000, m=30, gamma=10, family="bernoulli"), np.random.default_rng(5)
+    ),
+    "pairs-with-gaps": lambda: graph_from_pairs(
+        7, 4, 2, [(1, 0), (1, 0), (1, 3), (3, 1), (5, 0), (5, 2), (5, 3)]
+    ),
+    "doubly-regular-multi": lambda: generate(
+        DesignSpec(n=40, m=25, gamma=12, family="doubly_regular", allow_multi=True),
+        np.random.default_rng(8),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFFSET_GRAPHS))
+def test_agent_offsets_match_scatter_oracles(name):
+    graph = OFFSET_GRAPHS[name]()
+    n, m = graph.n_agents, graph.n_queries
+    distinct = np.bincount(graph.edge_agents, minlength=n)
+    if name.startswith(("bernoulli", "pairs")):
+        assert distinct[0] == distinct[-1] == 0 and (distinct[1:-1] == 0).any()
+    if name.endswith("multi"):
+        assert (graph.edge_mult > 1).any()
+    degrees = np.zeros(n, dtype=np.int64)
+    np.add.at(degrees, graph.edge_agents, graph.edge_mult)
+    starts = np.concatenate([[0], np.cumsum(distinct)])
+    for got, want in (
+        (graph.agent_starts, starts),
+        (graph.agent_degrees, degrees),
+        (graph.distinct_agent_degrees, distinct),
+    ):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+    results = np.random.default_rng(1).integers(0, 3 * graph.gamma, m)
+    scores = np.zeros(n)
+    np.add.at(scores, graph.edge_agents, results[graph.edge_queries].astype(np.float64))
+    # p = 0.99 keeps the threshold defined at these small m.
+    vector = compute_score_vector(graph, QueryOutcomes(results), 0.99, ChannelMatrix.identity(), m)
+    assert vector.scores.dtype == np.float64
+    assert np.array_equal(vector.scores, scores)
