@@ -24,34 +24,33 @@ def run_queries(
     channel: ChannelMatrix,
     rng: np.random.Generator,
 ) -> QueryOutcomes:
-    """Simulate all queries: each edge is one independent read of its agent's bit.
+    """Simulate all queries as per-query binomials.
 
-    Every copy of a multi-edge is read independently, so a query's result can
-    count the same agent several times.  Reads consume the random stream in the
-    sorted-edge-list order, which makes outcomes a deterministic function of
-    (graph, truth, channel, seed).  A deterministic channel (s11 and s01 both
-    0 or 1) needs no draws: the results are exact member sums and ``rng`` is
-    not advanced.
+    Each edge copy reads its agent's bit independently, so a query with ``c``
+    one-bit reads among ``d`` reads returns Binomial(c, s11) + Binomial(d - c,
+    s01), drawn in query order.  A read probability of 0 or 1 draws nothing:
+    the identity channel gives exact member sums and leaves ``rng`` as it was.
     """
     if truth.n != graph.n_agents:
         raise ValueError(f"truth has {truth.n} agents but graph has {graph.n_agents}")
-    if {channel.s11, channel.s01} <= {0.0, 1.0}:
-        # Only the edges of agents that read one add to a result, and every copy
-        # of an edge reads the same bit: weight each edge by its multiplicity.
-        ones = np.flatnonzero(np.where(truth.bits == 1, channel.s11, channel.s01))
-        starts, lengths = graph.agent_starts[ones], graph.distinct_agent_degrees[ones]
-        # Segment i's edges are numbered from lengths[:i].sum() on; shift them to starts[i].
-        edges = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        queries = graph.edge_queries[edges]
-        weights = graph.edge_mult[edges]
-    else:
-        agents = np.repeat(graph.edge_agents, graph.edge_mult)
-        queries = np.repeat(graph.edge_queries, graph.edge_mult)
-        read_prob = np.where(truth.bits[agents] == 1, channel.s11, channel.s01)
-        weights = rng.random(agents.size) < read_prob
-    results = np.bincount(queries, weights=weights, minlength=graph.n_queries).astype(np.int64)
+    ones = np.flatnonzero(truth.bits)
+    starts, lengths = graph.agent_starts[ones], graph.distinct_agent_degrees[ones]
+    # Segment i's edges are numbered from lengths[:i].sum() on; shift them to starts[i].
+    edges = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    queries, weights = graph.edge_queries[edges], graph.edge_mult[edges]
+    one_reads = np.bincount(queries, weights=weights, minlength=graph.n_queries).astype(np.int64)
+    results = _binomial(one_reads, channel.s11, rng)
+    if channel.s01:  # under s01 = 0 the zero-bit reads add 0 and would draw nothing
+        results += _binomial(graph.query_degrees - one_reads, channel.s01, rng)
     results.setflags(write=False)
     return QueryOutcomes(results=results)
+
+
+def _binomial(counts: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Binomial(counts, p) through the smaller of p and 1 - p, so p in {0, 1} draws nothing."""
+    if p > 0.5:
+        return counts - rng.binomial(counts, 1.0 - p)
+    return rng.binomial(counts, p)
 
 
 def effective_p(p: float, channel: ChannelMatrix) -> float:

@@ -68,6 +68,19 @@ def read_bit(bit: int, channel, rng: np.random.Generator) -> int:
     return int(rng.random() < prob)
 
 
+def per_read_results(graph: PoolingGraph, truth, channel, rng: np.random.Generator) -> np.ndarray:
+    """The former noisy query stage: one uniform per edge copy, in sorted-edge order.
+
+    Every copy of a multi-edge reads its agent's bit independently, and a
+    query's result counts its copies that read one.
+    """
+    agents = np.repeat(graph.edge_agents, graph.edge_mult)
+    queries = np.repeat(graph.edge_queries, graph.edge_mult)
+    read_prob = np.where(truth.bits[agents] == 1, channel.s11, channel.s01)
+    weights = rng.random(agents.size) < read_prob
+    return np.bincount(queries, weights=weights, minlength=graph.n_queries).astype(np.int64)
+
+
 def simplify(graph: PoolingGraph, rng: np.random.Generator) -> PoolingGraph:
     """Remove the multi-edges of any graph by ``designs._repair_slots`` swaps.
 

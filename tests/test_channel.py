@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import graph_from_pairs, naive_noiseless_results, read_bit
+from oracles import graph_from_pairs, naive_noiseless_results, per_read_results, read_bit
 from pooledsim.channel import effective_p, run_queries
-from pooledsim.designs import DesignSpec, generate
+from pooledsim.designs import FAMILIES, DesignSpec, generate
 from pooledsim.model import BernoulliPrior, ChannelMatrix, GroundTruth, sample_ground_truth
 
 
@@ -120,14 +120,71 @@ def test_run_queries_z_channel_mean():
     assert abs(mean - 4.0) < 0.03
 
 
-def test_run_queries_results_within_query_multiplicity():
+VARIANTS = [(f, multi) for f in FAMILIES for multi in (False, True) if f != "bernoulli" or not multi]
+
+
+@pytest.mark.parametrize("s11, s01", [(0.7, 0.0), (0.7, 0.2), (0.95, 0.02)])
+@pytest.mark.parametrize("family, multi", VARIANTS)
+def test_run_queries_results_within_query_multiplicity(family, multi, s11, s01):
     rng = np.random.default_rng(99)
-    spec = DesignSpec(n=30, m=12, gamma=8, family="doubly_regular", allow_multi=True)
+    spec = DesignSpec(n=30, m=12, gamma=8, family=family, allow_multi=multi)
     graph = generate(spec, rng)
     truth = sample_ground_truth(30, BernoulliPrior(0.5), rng)
-    out = run_queries(graph, truth, ChannelMatrix(s11=0.7, s01=0.2), rng)
+    out = run_queries(graph, truth, ChannelMatrix(s11=s11, s01=s01), rng)
     assert (out.results >= 0).all()
     assert (out.results <= graph.query_degrees).all()
+    if s01 == 0.0:
+        # without false positives a query reads at most its one-bit copies
+        assert (out.results <= naive_noiseless_results(graph, truth.bits)).all()
+
+
+# The per-query binomials and the per-read oracle must give each query the same law.
+ORACLE_GRAPHS = {
+    "dr-multi": DesignSpec(n=40, m=25, gamma=12, family="doubly_regular", allow_multi=True),
+    "bernoulli-edgeless": DesignSpec(n=60, m=10, gamma=6, family="bernoulli"),
+}
+
+
+def _pooled_columns(table: np.ndarray, min_total: int = 10) -> np.ndarray:
+    """Merge adjacent value columns until each holds at least min_total samples."""
+    cells, acc = [], np.zeros(2, dtype=np.int64)
+    for column in table.T:
+        acc = acc + column
+        if acc.sum() >= min_total:
+            cells.append(acc)
+            acc = np.zeros(2, dtype=np.int64)
+    if cells:
+        cells[-1] = cells[-1] + acc
+    return np.array(cells).T
+
+
+@pytest.mark.parametrize("s11, s01", [(0.8, 0.0), (0.85, 0.1)])
+@pytest.mark.parametrize("case", sorted(ORACLE_GRAPHS))
+def test_run_queries_matches_per_read_oracle_in_law(case, s11, s01):
+    spec = ORACLE_GRAPHS[case]
+    graph = generate(spec, np.random.default_rng(8))
+    truth = GroundTruth((np.arange(spec.n) % 2).astype(np.int8))
+    if case == "dr-multi":
+        assert (graph.edge_mult > 1).any()
+    else:
+        assert (graph.distinct_agent_degrees[truth.bits == 1] == 0).any()
+    chan = ChannelMatrix(s11=s11, s01=s01)
+    rng = np.random.default_rng(77)
+    resamples = 2000
+    fast = np.stack([run_queries(graph, truth, chan, rng).results for _ in range(resamples)])
+    slow = np.stack([per_read_results(graph, truth, chan, rng) for _ in range(resamples)])
+    stat, dof = 0.0, 0
+    for q in range(graph.n_queries):
+        width = int(graph.query_degrees[q]) + 1
+        table = np.stack([np.bincount(fast[:, q], minlength=width),
+                          np.bincount(slow[:, q], minlength=width)])
+        table = _pooled_columns(table)
+        if table.shape[1] < 2:
+            continue
+        stat += scipy.stats.chi2_contingency(table, correction=False)[0]
+        dof += table.shape[1] - 1
+    assert dof > graph.n_queries
+    assert scipy.stats.chi2.sf(stat, dof) > 0.01
 
 
 def test_noiseless_consistency_over_random_graphs():

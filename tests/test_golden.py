@@ -53,7 +53,15 @@ SIMULATE_ARGS = [
     "--family", "doubly_regular", "--k", "6", "--eps", "0.25",
     "--seed", "7", "--s11", "0.8", "--dump-scores",
 ]
-SIMULATE_SHA256 = "50b38daa8c53794544edc30be80adaf86d5e1e0adb0b965df47b78d8d4ba529f"
+SIMULATE_SHA256 = "f155b4b2ace6f0bc1cf3709345183c7e455093816273d9c1a1c397dab72576bc"
+
+# s01 > 0: the zero-bit reads of every query draw their own binomial.
+SIMULATE_NOISY_ARGS = [
+    "simulate", "--n", "1000", "--m", "1000", "--gamma", "100",
+    "--family", "doubly_regular", "--multi", "--k", "6", "--eps", "0.25",
+    "--seed", "7", "--s11", "0.9", "--s01", "0.05", "--dump-scores",
+]
+SIMULATE_NOISY_SHA256 = "369719d0fce521aa25d8afabbd71ed17ab93585bb2f2d5a2552d0f83a1472a14"
 
 # m = 10 lies below m_floor = 22, so those points are threshold_undefined.
 SWEEP_CONFIG = """\
@@ -86,6 +94,11 @@ def test_generate_golden(tmp_path, name):
 def test_simulate_dump_scores_golden(capsys):
     assert main(SIMULATE_ARGS) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == SIMULATE_SHA256
+
+
+def test_simulate_dump_scores_general_channel_golden(capsys):
+    assert main(SIMULATE_NOISY_ARGS) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == SIMULATE_NOISY_SHA256
 
 
 def test_sweep_csv_golden(tmp_path):
