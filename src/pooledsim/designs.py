@@ -104,6 +104,8 @@ class PoolingGraph:
     @cached_property
     def agent_degrees(self) -> np.ndarray:
         """Per-agent edge counts, multiplicities included."""
+        if (self.edge_mult == 1).all():
+            return self.distinct_agent_degrees
         return _read_only(self.agent_sums(self.edge_mult))
 
     @cached_property
@@ -134,15 +136,30 @@ def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
         else:
             members = _doubly_regular_members(spec, rng)
         # Row q of the (m, gamma) member matrix holds query q's agents.
-        keys = (members * spec.m + np.arange(spec.m)[:, None]).reshape(-1)
+        key = _key_dtype(spec.n, spec.m, spec.gamma)
+        keys = members.astype(key, copy=False)
+        del members  # free the int64 matrix before the sort and the int64 split
+        keys *= spec.m
+        keys += np.arange(spec.m, dtype=key)[:, None]
+        keys = keys.reshape(-1)
         if not spec.allow_multi:
             keys.sort()  # the keys of a simple design are all distinct
     if spec.allow_multi:
         keys, mult = np.unique(keys, return_counts=True)
     else:
         mult = np.ones(keys.size, dtype=np.int64)
-    agents, queries = np.divmod(keys, spec.m)
+    agents, queries = np.divmod(keys, spec.m, dtype=np.int64)
     return PoolingGraph(spec.n, spec.m, spec.gamma, agents, queries, mult)
+
+
+def _key_dtype(n: int, m: int, gamma: int) -> type:
+    """Dtype of the pair keys of an ``(m, gamma)`` member matrix over ``n`` agents.
+
+    Every key (``query * n + agent``, ``agent * m + query`` and
+    ``agent * gamma + column``) is below ``n * max(m, gamma)``, so uint32
+    holds them all up to that bound of 2**32; past it they are int64.
+    """
+    return np.uint32 if n * max(m, gamma) <= 2**32 else np.int64
 
 
 def _bernoulli_keys(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
@@ -260,12 +277,16 @@ def _repair_slots(
     conflicting swaps are retried; both degree vectors stay fixed.  Raises
     SimplificationError after ``_MAX_SWAP_FACTOR * m * gamma`` attempted swaps.
 
-    ``members`` must be a C-contiguous int64 array.  Flat slot ``i`` is query
-    ``i // gamma``.  Surplus copies are the repeats of an agent within a row
-    after the first in slot order, and they are repaired in
+    ``members`` must be a C-contiguous int64 array, and stays one.  Flat slot
+    ``i`` is query ``i // gamma``.  Surplus copies are the repeats of an agent
+    within a row after the first in slot order, and they are repaired in
     ``(agent * m + query, slot)`` order.  Pairs are counted in an overlay (see
     :func:`_pair_counts`) that each batch's swaps extend, and whose base is
     rebuilt from ``members`` once it passes ``_MAX_OVERLAY_FRACTION`` of it.
+    The pair keys (``query * n + agent`` in the overlay, ``agent * m + query``
+    for the repair order, ``agent * gamma + column`` for the row sort) are
+    uint32 while ``n * max(m, gamma) <= 2**32`` and int64 past it (see
+    :func:`_key_dtype`); slot indices stay int64.
     """
     n_queries, gamma = members.shape
     if gamma > n_agents:
@@ -275,15 +296,17 @@ def _repair_slots(
 
     agents = members.reshape(-1)  # a view: swaps write through to members
     total = agents.size
-    m = np.int64(n_queries)
-    n = np.int64(n_agents)
+    key = _key_dtype(n_agents, n_queries, gamma)
+    m = key(n_queries)
+    n = key(n_agents)
     budget = _MAX_SWAP_FACTOR * total
     attempts = 0
-    row_keys = (np.arange(n_queries, dtype=np.int64) * n)[:, None]
+    row_keys = (np.arange(n_queries, dtype=key) * n)[:, None]
 
     # Sorting agent * gamma + column sorts each row by agent, ties by slot.
-    by_agent = members * gamma
-    by_agent += np.arange(gamma)
+    by_agent = members.astype(key)
+    by_agent *= gamma
+    by_agent += np.arange(gamma, dtype=key)
     by_agent.sort(axis=1)
     index = by_agent // gamma
     index += row_keys
@@ -293,10 +316,10 @@ def _repair_slots(
     dup = np.flatnonzero(index[1:] == index[:-1]) + 1
     rows = dup // gamma
     dup_slots = rows * gamma + by_agent.reshape(-1)[dup] % gamma
-    dup_keys = (index[dup] - rows * n) * m + rows
+    dup_keys = (index[dup] - row_keys.reshape(-1)[rows]) * m + rows.astype(key)
     del by_agent
     pending = dup_slots[np.lexsort((dup_slots, dup_keys))]
-    empty = np.empty(0, dtype=np.int64)
+    empty = np.empty(0, dtype=key)
     overlay = (index, empty, empty)
 
     while pending.size:
@@ -314,7 +337,7 @@ def _repair_slots(
         # A swap is blocked when a new pair (u, b) or (v, a) already exists,
         # when it shares a slot with another swap of the batch, or when it
         # creates the same new pair as another swap.
-        probes = np.concatenate([b * n + u, a * n + v])
+        probes = np.concatenate([b * n + u, a * n + v]).astype(key, copy=False)
         slots = np.concatenate([pending, partners])
         blocked = (_pair_counts(overlay, probes) > 0) | _repeated(slots) | _repeated(probes)
         ok = (u != v) & (a != b) & ~blocked.reshape(2, -1).any(axis=0)
@@ -324,12 +347,13 @@ def _repair_slots(
         agents[partners[applied]] = u[applied]
         base, added, removed = overlay
         if added.size + 2 * applied.size > _MAX_OVERLAY_FRACTION * base.size:
-            base = members + row_keys
+            base = members.astype(key)
+            base += row_keys
             base.sort(axis=1)
             overlay = (base.reshape(-1), empty, empty)
         else:
             made = probes.reshape(2, -1)[:, applied]
-            broken = np.stack([a * n + u, b * n + v])[:, applied]
+            broken = np.stack([a * n + u, b * n + v])[:, applied].astype(key, copy=False)
             overlay = (base, np.sort(np.append(added, made)), np.sort(np.append(removed, broken)))
 
         # A rejected slot kept its agent (a slot both pending and a partner is
@@ -338,7 +362,7 @@ def _repair_slots(
         # shrink a pair's multiplicity, so cap the surviving repair slots at
         # (current multiplicity - 1) per pair.
         remaining = pending[~ok]
-        rem_keys = (remaining // gamma) * n + agents[remaining]
+        rem_keys = ((remaining // gamma) * n + agents[remaining]).astype(key, copy=False)
         run_start = np.flatnonzero(np.diff(rem_keys, prepend=-1))
         run_len = np.diff(run_start, append=remaining.size)
         surplus = _pair_counts(overlay, rem_keys[run_start]) - 1

@@ -286,10 +286,12 @@ def run_sweep(
             raise ValueError(f"unknown family variant ({family!r}, multi={multi})")
     if len(set(m_grid)) < len(m_grid) or len(set(families)) < len(families):
         raise ValueError("m grid and families must not repeat a sweep point")
+    # The largest m go out first: their trials take longest, so a worker
+    # that draws them last would finish alone.
     tasks = [
         (m, family, multi, index)
+        for m in sorted(m_grid, reverse=True)
         for family, multi in families
-        for m in m_grid
         for index in range(trials_per_point)
     ]
     if workers > 1:

@@ -396,6 +396,9 @@ def assert_repairs_agree(members, n, seed):
         (1000, 300, 100, 3),  # the figure point
         (10**4, 1000, 500, 2),
         (10**4, 5938, 500, 2),  # the soundness point: a batch rewrites nearly every row
+        (65_536, 65_536, 4, 3),  # n * m = 2**32: uint32 keys up to 2**32 - 1
+        (65_536, 65_537, 4, 3),  # n * m just past 2**32: int64 keys
+        (131_072, 9, 32_769, 1),  # n * gamma alone past 2**32: int64 keys
     ],
 )
 def test_repair_slots_matches_reference(n, m, gamma, seeds):
@@ -476,6 +479,39 @@ def test_simple_generate_sorts_like_unique(family, n, m, gamma):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
         assert (graph.edge_mult == 1).all()
+
+
+# The pair keys are below n * max(m, gamma): these points sit at n * m = 2**32
+# (uint32 keys up to 2**32 - 1), just past it, and where n * gamma alone
+# passes it.  The one-sided simple sampler draws n * m uniforms, 4.3e9 at
+# the first two points, so that family runs only at the last.
+WIDE_KEY_POINTS = [
+    ("doubly_regular", 65_536, 65_536, 4, np.uint32),
+    ("doubly_regular", 65_536, 65_537, 4, np.int64),
+    ("doubly_regular", 131_072, 9, 32_769, np.int64),
+    ("one_sided_regular", 131_072, 9, 32_769, np.int64),
+]
+
+
+@pytest.mark.parametrize("family, n, m, gamma, key", WIDE_KEY_POINTS)
+def test_simple_generate_sorts_like_unique_at_wide_keys(family, n, m, gamma, key):
+    assert pooledsim.designs._key_dtype(n, m, gamma) is key
+    test_simple_generate_sorts_like_unique(family, n, m, gamma)
+
+
+@pytest.mark.parametrize("family", sorted(MEMBERS_OF))
+@pytest.mark.parametrize("n, m, gamma", sorted({point[1:4] for point in WIDE_KEY_POINTS}))
+def test_multi_generate_counts_like_unique(family, n, m, gamma):
+    spec = DesignSpec(n=n, m=m, gamma=gamma, family=family, allow_multi=True)
+    graph = generate(spec, np.random.default_rng(1))
+    members = MEMBERS_OF[family](spec, np.random.default_rng(1))
+    keys, mult = np.unique(members * m + np.arange(m)[:, None], return_counts=True)
+    assert (mult > 1).any()
+    for got, want in zip(
+        (graph.edge_agents, graph.edge_queries, graph.edge_mult), (*np.divmod(keys, m), mult)
+    ):
+        assert got.dtype == want.dtype and not got.flags.writeable
+        assert np.array_equal(got, want)
 
 
 def test_repeated_marks_what_unique_counts_twice():
