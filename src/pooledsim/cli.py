@@ -8,14 +8,13 @@ endings and bit-exact reproducible from the arguments (including the seed).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from .designs import (
 from .experiment import (
     FAMILY_STREAM_IDS,
     TrialConfig,
+    _check_seed,
     run_sweep,
     run_trial_detailed,
 )
@@ -135,15 +135,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write UTF-8 text with LF endings through a temp file in the same directory.
+@contextmanager
+def _write_atomic(path: Path):
+    """Yield a UTF-8 text stream with LF endings on a temp file in ``path``'s directory.
 
-    ``os.replace`` then swaps it in, so ``path`` holds either its old content
-    or all of the new, and a failed write leaves no temp file behind.
+    ``os.replace`` swaps it in when the block succeeds, so ``path`` holds either its
+    old content or all of the new; a failure or interrupt leaves no temp file behind.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="\n")
+        with open(tmp, "w", encoding="utf-8", newline="\n") as stream:
+            yield stream
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -153,11 +155,10 @@ def _write_atomic(path: Path, text: str) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     with _user_input():
         spec = _design(args)
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(_check_seed(args.seed))
     graph = generate(spec, rng)
-    buffer = io.StringIO()
-    write_edge_list(buffer, graph, spec.family, spec.allow_multi)
-    _write_atomic(Path(args.output), buffer.getvalue())
+    with _write_atomic(Path(args.output)) as stream:
+        write_edge_list(stream, graph, spec.family, spec.allow_multi)
     return EXIT_OK
 
 
@@ -329,11 +330,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with _user_input():
         config = parse_sweep_config(Path(args.config).read_text(encoding="utf-8"))
     trial, channel = config.trial, config.trial.channel
-    _warn_gamma_window(trial.design, trial.resolved_p())
+    # The window's lower bound is highest at the smallest m; its upper bound is fixed.
+    _warn_gamma_window(replace(trial.design, m=min(config.m_grid)), trial.resolved_p())
     workers = args.workers if args.workers is not None else _default_workers()
-    rows = run_sweep(
-        trial, config.m_grid, config.families, config.trials_per_point, workers=workers
-    )
     shared = {
         "n": trial.design.n, "gamma": trial.design.gamma, "seed": trial.base_seed,
         "s11": channel.s11, "s01": channel.s01,
@@ -343,12 +342,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "k": trial.prior.k if isinstance(trial.prior, FixedPrior) else None,
         "p": trial.resolved_p(),
     }
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        fields = {**point, **asdict(row)}
-        lines.append(",".join(_csv_field(fields[column]) for column in CSV_COLUMNS))
     output = Path(args.output)
-    _write_atomic(output, "\n".join(lines) + "\n")
+    # Opened before the first trial, so an unwritable output fails fast.
+    with _write_atomic(output) as stream:
+        rows = run_sweep(
+            trial, config.m_grid, config.families, config.trials_per_point, workers=workers
+        )
+        stream.write(",".join(CSV_COLUMNS) + "\n")
+        for row in rows:
+            fields = {**point, **asdict(row)}
+            stream.write(",".join(_csv_field(fields[column]) for column in CSV_COLUMNS) + "\n")
     manifest = _manifest({
         "config": config.raw,
         "resolved": {
@@ -361,10 +364,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         },
         "output": output.name,
     })
-    _write_atomic(
-        output.with_name(output.name + ".manifest.json"),
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-    )
+    with _write_atomic(output.with_name(output.name + ".manifest.json")) as stream:
+        stream.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -6,10 +6,7 @@ canonical on-disk edge-list format.
 """
 from __future__ import annotations
 
-import io
-import itertools
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
@@ -389,7 +386,8 @@ def write_edge_list(stream: IO[str], graph: PoolingGraph, family: str, allow_mul
 def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     """Parse the canonical edge-list format back into a spec and graph.
 
-    A body that :func:`write_edge_list` cannot have written raises ValueError.
+    Each line is stripped, so CRLF ends and blank or whitespace-only lines are
+    accepted; any other departure from what :func:`write_edge_list` writes raises ValueError.
     """
     it = iter(lines)
     header = next(it, None)
@@ -406,13 +404,19 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
         raise ValueError(f"malformed multi flag {flag!r}, expected 'true' or 'false'")
     allow_multi = flag == "true"
     spec = DesignSpec(n=n, m=m, gamma=gamma, family=family, allow_multi=allow_multi)
-    # One string; blank lines stay in it so that a failure maps back to its line.
-    body = "\n".join(map(str.strip, it))
-    columns = _columns(body)
-    if columns is None:
-        line = _first_bad_line(body)
-        raise ValueError(f"line {line}: expected an integer 'agent query multiplicity' triple")
-    agent_arr, query_arr, mult_arr = columns
+    # Blank lines stay in the body so that a failure maps back to its line.
+    body = list(map(str.strip, it))
+    rows = _rows(body)
+    if rows is None:
+        # Each line parses or not on its own, so bisect: body[lo:hi] holds the first bad line.
+        lo, hi = 0, len(body)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _rows(body[lo:mid]) is None else (mid, hi)
+        raise ValueError(f"line {lo + 2}: expected an integer 'agent query multiplicity' triple")
+    nonblank = np.frombuffer(bytes(map(bool, body)), dtype=bool)
+    del body  # the lines weigh most; drop them before the columns are copied
+    agent_arr, query_arr, mult_arr = np.ascontiguousarray(rows.T)
 
     # Each edge against the one before it; the first edge steps by 1.
     step_a = np.diff(agent_arr, prepend=agent_arr[:1] - 1)
@@ -427,9 +431,8 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     ]
     for rule, bad in rules:
         if bad.any():
-            # Edge i is the (i + 1)-th non-blank body line.
-            edge = next(itertools.islice(re.finditer(".+", body), int(np.argmax(bad)), None))
-            line = body.count("\n", 0, edge.start()) + 2
+            # Edge i is on the (i + 1)-th non-blank body line.
+            line = np.flatnonzero(nonblank)[np.argmax(bad)] + 2
             raise ValueError(f"line {line}: {rule}")
 
     # The rules above make the triples canonical: they are the graph's arrays.
@@ -449,26 +452,12 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     return spec, graph
 
 
-def _first_bad_line(body: str) -> int:
-    """File line number (the header is line 1) of the first line :func:`_columns` rejects.
-
-    Each line parses or not on its own, so this bisects over line ends,
-    parsing slices of the one string.  ``body[lo:hi]`` holds whole lines,
-    the first bad one among them.
-    """
-    lo, hi = 0, len(body)
-    while (last := body.rfind("\n", lo, hi)) != -1:
-        cut = body.find("\n", min((lo + hi) // 2, last), hi)  # first line end from the middle on
-        lo, hi = (lo, cut) if _columns(body[lo:cut]) is None else (cut + 1, hi)
-    return body.count("\n", 0, lo) + 2
-
-
-def _columns(body: str) -> np.ndarray | None:
-    """``(3, E)`` int64 rows of ``body``'s lines; None unless each is blank or three int64s."""
-    if not body or body.isspace():  # loadtxt warns on an input without data
-        return np.empty((3, 0), dtype=np.int64)
-    try:  # comments=None: '#' is a bad field, not the start of a comment
-        rows = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+def _rows(lines: list[str]) -> np.ndarray | None:
+    """``(E, 3)`` int64 rows of ``lines``; None unless each is blank or three int64s."""
+    if not any(lines):  # loadtxt warns on an input without data
+        return np.empty((0, 3), dtype=np.int64)
+    try:  # comments=None: '#' is a bad field; max_rows (never reached) presizes the rows
+        rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2, max_rows=len(lines))
     except ValueError:
         return None
-    return np.ascontiguousarray(rows.T) if rows.shape[1] == 3 else None
+    return rows if rows.shape[1] == 3 else None

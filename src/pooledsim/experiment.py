@@ -85,6 +85,13 @@ def derive_seed(base: int, indices: Iterable[int] = ()) -> int:
     return state
 
 
+def _check_seed(seed: int) -> int:
+    """Return ``seed``; raise ValueError unless it lies in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
@@ -123,6 +130,7 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon)
+        _check_seed(self.base_seed)
         if isinstance(self.prior, FixedPrior) and self.prior.k > self.design.n:
             raise ValueError(f"fixed one-count {self.prior.k} exceeds n={self.design.n}")
         p = self.resolved_p()

@@ -345,6 +345,17 @@ def gamma_window(m):
     return float(lo), float(hi)
 
 
+@pytest.mark.parametrize("m_grid", ["500,20", "20,500"])
+def test_sweep_checks_gamma_window_at_the_smallest_m(tmp_path, monkeypatch, m_grid):
+    # n = 1000, k = 6: the window's lower bound is 128.9 at m = 20 and 25.8 at m = 500
+    text = (SWEEP_CONFIG.replace("n = 60", "n = 1000").replace("k = 4", "k = 6")
+            .replace("gamma = 6", "gamma = 100").replace("40,80,120", m_grid))
+    monkeypatch.setattr(pooledsim.cli, "run_sweep", lambda *args, **kwargs: [])
+    with pytest.warns(UserWarning, match=r"\[128\.9, 707\.9\] for n=1000, m=20,"):
+        assert main(["sweep", "--config", str(write_config(tmp_path, text)),
+                     "--output", str(tmp_path / "x.csv"), "--workers", "1"]) == 0
+
+
 def test_theoretical_gamma_window_monotone_in_m():
     (lo1, hi1), (lo2, hi2) = gamma_window(100), gamma_window(400)
     assert (lo1, lo2) == (44.7, 22.3)  # n^0.05 * sqrt(n / (m p))
@@ -358,9 +369,50 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
     target = tmp_path / "results.csv"
     target.write_text("old\n")
     with pytest.raises(UnicodeEncodeError):
-        _write_atomic(target, "new\n\ud800")  # a lone surrogate has no UTF-8 form
+        with _write_atomic(target) as stream:
+            stream.write("new\n\ud800")  # a lone surrogate has no UTF-8 form
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+
+def test_generate_failure_while_streaming_keeps_old_file_and_leaves_no_temp(
+    tmp_path, monkeypatch
+):
+    class FailingStream:
+        """Passes five lines on to the temp file, then raises."""
+
+        def __init__(self, stream):
+            self.stream, self.left = stream, 5
+
+        def write(self, text):
+            self.stream.write(text)
+            self.left -= 1
+            if not self.left:
+                raise RuntimeError("forced for the test")
+
+    write_edge_list = pooledsim.cli.write_edge_list
+    monkeypatch.setattr(pooledsim.cli, "write_edge_list",
+                        lambda stream, *args: write_edge_list(FailingStream(stream), *args))
+    target = tmp_path / "graph.edges"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="forced for the test"):
+        main(["generate", "--n", "40", "--m", "20", "--gamma", "10",
+              "--family", "doubly_regular", "--seed", "1", "--output", str(target)])
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.edges"]
+
+
+def test_sweep_fails_on_unwritable_output_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("run_sweep ran although the output cannot be written")
+
+    monkeypatch.setattr(pooledsim.cli, "run_sweep", never)
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["sweep", "--config", str(write_config(tmp_path)), "--output", str(out),
+                 "--workers", "1"])
+    assert code == 3
+    assert "pooledsim: failure:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 
 # ------------------------------------------------------------- exit codes
@@ -402,6 +454,26 @@ def test_generate_rejects_negative_seed(tmp_path, capsys):
                  "--family", "doubly_regular", "--seed", "-1", "--output", str(out)])
     assert code == 2
     assert "pooledsim: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["generate", "simulate", "sweep"])
+def test_every_subcommand_rejects_a_seed_outside_64_bits(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate", "--n", "4", "--m", "2", "--gamma", "2",
+                     "--family", "doubly_regular", "--seed", str(seed), "--output", str(out)],
+        "simulate": [*simulate_args()[:-2], "--seed", str(seed)],
+        "sweep": ["sweep", "--config",
+                  str(write_config(tmp_path, SWEEP_CONFIG.replace("777", str(seed)))),
+                  "--output", str(out), "--workers", "1"],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"pooledsim: error: seed must lie in [0, 2**64), got {seed}" in captured.err
     assert not out.exists()
 
 

@@ -576,11 +576,16 @@ def test_edge_list_round_trip_with_multiplicities():
     write_edge_list(buf, graph, "one_sided_regular", True)
     text = buf.getvalue()
     blank = text.replace("\n", "\n \t\n", 2)  # whitespace-only lines in the body
+    first_edge_end = text.index("\n", text.index("\n") + 1)
     inputs = [
         io.StringIO(text),
         io.StringIO(blank),
         io.StringIO(text.replace("\n", "\r\n")),  # CRLF line ends
         blank.splitlines(),  # lines without terminators, one of them blank
+        # lines of Unicode whitespace only: NBSP, form feed, vertical tab, U+3000, U+2028
+        *(io.StringIO(text.replace("\n", f"\n{space}\n", 2)) for space in "\xa0\f\v\u3000\u2028"),
+        io.StringIO(text.replace("\n", "\r\n\r\n", 3)),  # CRLF blank lines
+        io.StringIO(text[:first_edge_end] + "\xa0" + text[first_edge_end:]),  # NBSP after a triple
     ]
     for lines in inputs:
         spec_back, graph_back = read_edge_list(lines)
@@ -639,6 +644,7 @@ def test_edge_list_rejects_malformed_header(text, message):
 
 # Body lines of a valid 4-agent, 3-query file; None marks a blank line.
 LOCATOR_BODY = ["0 0 1", None, "0 2 1", "1 1 1", "  ", "2 0 1", None, None, "3 1 1", "3 2 1"]
+LONG_LOCATOR_BODY = [f"{agent} {query} 1" for agent in range(4) for query in range(2500)]
 
 
 @pytest.mark.parametrize("field, message", [("x", "expected an integer"), ("4", "agent outside")])
@@ -651,6 +657,14 @@ def test_edge_list_locates_each_bad_line(field, message):
             for i, text in enumerate(LOCATOR_BODY)
         ]
         text = "4 3 1 one_sided_regular false\n" + "\n".join(body) + "\n"
+        with pytest.raises(ValueError, match=f"^line {target + 2}: {message}"):
+            read_edge_list(io.StringIO(text))
+
+    # A 10^4-line body (agents 0..3, each in queries 0..2499) takes the bisection deeper.
+    for target in (0, 4321, len(LONG_LOCATOR_BODY) - 1):
+        body = list(LONG_LOCATOR_BODY)
+        body[target] = f"{field} {body[target].split(' ', 1)[1]}"
+        text = "4 2500 4 one_sided_regular false\n" + "\n".join(body) + "\n"
         with pytest.raises(ValueError, match=f"^line {target + 2}: {message}"):
             read_edge_list(io.StringIO(text))
 
