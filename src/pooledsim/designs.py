@@ -30,6 +30,7 @@ _CHUNK_CELLS = 8_000_000
 
 _MAX_SWAP_FACTOR = 100
 _MAX_OVERLAY_FRACTION = 0.01  # swap repair rebuilds its pair index past this overlay share
+_WRITE_CHUNK_EDGES = 65_536  # edges per formatted chunk of the edge-list writer
 
 
 class SimplificationError(RuntimeError):
@@ -373,14 +374,37 @@ def write_edge_list(stream: IO[str], graph: PoolingGraph, family: str, allow_mul
     """Write the canonical edge-list text format.
 
     Header line is ``n m gamma family multi``; every following line is an
-    ``agent query multiplicity`` triple in lexicographic order.
+    ``agent query multiplicity`` triple in lexicographic order, in decimal
+    without padding.  The triples are formatted in numpy, one chunk of
+    ``_WRITE_CHUNK_EDGES`` edges and one ``stream.write`` at a time.
     """
     multi = "true" if allow_multi else "false"
     stream.write(f"{graph.n_agents} {graph.n_queries} {graph.gamma} {family} {multi}\n")
-    for agent, query, mult in zip(
-        graph.edge_agents.tolist(), graph.edge_queries.tolist(), graph.edge_mult.tolist()
-    ):
-        stream.write(f"{agent} {query} {mult}\n")
+    columns = (graph.edge_agents, graph.edge_queries, graph.edge_mult)
+    for start in range(0, len(graph.edge_mult), _WRITE_CHUNK_EDGES):
+        stream.write(_edge_lines([col[start : start + _WRITE_CHUNK_EDGES] for col in columns]))
+
+
+def _edge_lines(columns: list[np.ndarray]) -> str:
+    """One ``"agent query multiplicity\\n"`` line per row of non-negative integer columns.
+
+    Each column's digits fill a fixed-width block of a uint8 matrix, ones digit
+    last, followed by a space or newline cell; one mask then drops the leading zeros.
+    """
+    widths = [len(str(col.max())) for col in columns]
+    cells = np.empty((len(columns[0]), sum(widths) + len(widths)), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    end = -1
+    for col, width, separator in zip(columns, widths, b"  \n"):
+        end += width + 1
+        cells[:, end] = separator
+        rest = col
+        for cell in range(end - 1, end - 1 - width, -1):
+            keep[:, cell] = rest > 0  # a zero rest is a leading zero
+            rest, digit = np.divmod(rest, 10)
+            cells[:, cell] = digit + ord("0")
+        keep[:, end - 1] = True  # the ones digit, so that 0 prints as 0
+    return cells[keep].tobytes().decode("ascii")
 
 
 def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
@@ -404,8 +428,12 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
         raise ValueError(f"malformed multi flag {flag!r}, expected 'true' or 'false'")
     allow_multi = flag == "true"
     spec = DesignSpec(n=n, m=m, gamma=gamma, family=family, allow_multi=allow_multi)
-    # Blank lines stay in the body so that a failure maps back to its line.
+    # Only the non-blank lines are parsed: the i-th of them, like edge i,
+    # is on file line np.flatnonzero(nonblank)[i] + 2.
     body = list(map(str.strip, it))
+    nonblank = np.frombuffer(bytes(map(bool, body)), dtype=bool)
+    if not nonblank.all():  # copying a canonical body raised the peak of repeated reads
+        body = list(filter(None, body))
     rows = _rows(body)
     if rows is None:
         # Each line parses or not on its own, so bisect: body[lo:hi] holds the first bad line.
@@ -413,8 +441,8 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if _rows(body[lo:mid]) is None else (mid, hi)
-        raise ValueError(f"line {lo + 2}: expected an integer 'agent query multiplicity' triple")
-    nonblank = np.frombuffer(bytes(map(bool, body)), dtype=bool)
+        line = np.flatnonzero(nonblank)[lo] + 2
+        raise ValueError(f"line {line}: expected an integer 'agent query multiplicity' triple")
     del body  # the lines weigh most; drop them before the columns are copied
     agent_arr, query_arr, mult_arr = np.ascontiguousarray(rows.T)
 
@@ -431,7 +459,6 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     ]
     for rule, bad in rules:
         if bad.any():
-            # Edge i is on the (i + 1)-th non-blank body line.
             line = np.flatnonzero(nonblank)[np.argmax(bad)] + 2
             raise ValueError(f"line {line}: {rule}")
 
@@ -453,8 +480,8 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
 
 
 def _rows(lines: list[str]) -> np.ndarray | None:
-    """``(E, 3)`` int64 rows of ``lines``; None unless each is blank or three int64s."""
-    if not any(lines):  # loadtxt warns on an input without data
+    """``(E, 3)`` int64 rows of non-blank ``lines``; None unless each is three int64s."""
+    if not lines:  # loadtxt warns on an input without data
         return np.empty((0, 3), dtype=np.int64)
     try:  # comments=None: '#' is a bad field; max_rows (never reached) presizes the rows
         rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2, max_rows=len(lines))

@@ -40,6 +40,16 @@ def graph_from_pairs(n: int, m: int, gamma: int, pairs) -> PoolingGraph:
     return PoolingGraph(n, m, gamma, keys // m, keys % m, mult)
 
 
+def write_edge_list_reference(stream, graph: PoolingGraph, family: str, allow_multi: bool) -> None:
+    """The former edge-list writer: one f-string and one ``stream.write`` per edge."""
+    multi = "true" if allow_multi else "false"
+    stream.write(f"{graph.n_agents} {graph.n_queries} {graph.gamma} {family} {multi}\n")
+    for agent, query, mult in zip(
+        graph.edge_agents.tolist(), graph.edge_queries.tolist(), graph.edge_mult.tolist()
+    ):
+        stream.write(f"{agent} {query} {mult}\n")
+
+
 def bernoulli_dense_reference(spec, rng: np.random.Generator) -> PoolingGraph:
     """The former Bernoulli sampler: one uniform per (query, agent) cell.
 

@@ -379,10 +379,10 @@ def test_generate_failure_while_streaming_keeps_old_file_and_leaves_no_temp(
     tmp_path, monkeypatch
 ):
     class FailingStream:
-        """Passes five lines on to the temp file, then raises."""
+        """Passes two writes on to the temp file, the header and the first chunk, then raises."""
 
         def __init__(self, stream):
-            self.stream, self.left = stream, 5
+            self.stream, self.left = stream, 2
 
         def write(self, text):
             self.stream.write(text)

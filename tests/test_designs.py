@@ -16,16 +16,19 @@ from oracles import (
     repair_slots_reference,
     same_graph,
     simplify,
+    write_edge_list_reference,
 )
 from pooledsim.channel import QueryOutcomes
 from pooledsim.decoder import compute_score_vector
 from pooledsim.designs import (
     DesignSpec,
+    PoolingGraph,
     SimplificationError,
     generate,
     read_edge_list,
     write_edge_list,
 )
+from pooledsim.experiment import FAMILY_STREAM_IDS
 from pooledsim.model import ChannelMatrix
 
 
@@ -592,6 +595,85 @@ def test_edge_list_round_trip_with_multiplicities():
         assert spec_back.allow_multi
         assert same_graph(graph_back, graph)
         assert not graph_back.edge_mult.flags.writeable
+
+
+def edge_list_lines(writer, graph, family="one_sided_regular", allow_multi=True):
+    # Lines with their ends: pytest compares lists by their first difference,
+    # where a diff of two long strings would take minutes.
+    buf = io.StringIO()
+    writer(buf, graph, family, allow_multi)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("family, multi", sorted(FAMILY_STREAM_IDS))
+def test_write_edge_list_matches_reference_writer(family, multi):
+    # About 10^5 edges at the largest point: more than one 65,536-edge chunk.
+    for n, m, gamma, seed in [(7, 5, 3, 0), (120, 40, 30, 1), (4000, 1000, 100, 2)]:
+        spec = DesignSpec(n=n, m=m, gamma=gamma, family=family, allow_multi=multi)
+        graph = generate(spec, np.random.default_rng(seed))
+        assert edge_list_lines(write_edge_list, graph, family, multi) == edge_list_lines(
+            write_edge_list_reference, graph, family, multi
+        )
+
+
+# Agents and queries that cross the 9 -> 10 and 99 -> 100 digit widths, agent 0,
+# multiplicities of two digits and the int64 maximum, and a graph without edges.
+WRITER_GRAPHS = {
+    "digit-widths": graph_from_pairs(
+        101, 101, 2, [(0, 0), (0, 9), (9, 10), (10, 99), (99, 100), (100, 0), (100, 100)]
+    ),
+    "wide-multiplicities": PoolingGraph(
+        3, 2, 1, np.array([0, 1, 2]), np.array([1, 0, 1]),
+        np.array([10, np.iinfo(np.int64).max, 99]),
+    ),
+    "zero-agent-and-query": PoolingGraph(1, 1, 1, np.array([0]), np.array([0]), np.array([1])),
+    "no-edges": PoolingGraph(3, 2, 1, *(np.empty(0, dtype=np.int64) for _ in range(3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_GRAPHS))
+def test_write_edge_list_matches_reference_on_digit_edge_cases(name):
+    graph = WRITER_GRAPHS[name]
+    lines = edge_list_lines(write_edge_list, graph)
+    assert lines == edge_list_lines(write_edge_list_reference, graph)
+    assert len(lines) == len(graph.edge_mult) + 1
+
+
+def test_write_edge_list_crosses_a_chunk_boundary():
+    # 70,000 edges: one full 65,536-edge chunk and a partial one, with queries
+    # of one, two and three digits on both sides of the boundary.
+    agents, queries = np.divmod(np.arange(70_000), 1000)
+    mult = 1 + queries % 13
+    graph = PoolingGraph(70, 1000, 1000, agents, queries, mult)
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    stream = Recorder()
+    write_edge_list(stream, graph, "one_sided_regular", True)
+    lines = stream.getvalue().splitlines(keepends=True)
+    assert lines == edge_list_lines(write_edge_list_reference, graph)
+    assert len(writes) == 3  # the header and two chunks
+
+
+def test_read_edge_list_skips_blank_lines_without_warnings():
+    # Under warnings-as-errors numpy must not warn about the blank lines, and a
+    # bad line after blank ones is still reported by its line in the file.
+    body = ["0 0 1", "", "  ", "1 0 1", "\t", "2 1 1", ""]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, graph = read_edge_list(["3 2 1 bernoulli false", *body])
+        assert graph.edge_agents.tolist() == [0, 1, 2]
+        assert graph.edge_queries.tolist() == [0, 0, 1]
+        for bad, message in [("2 x 1", "expected an integer"), ("2 5 1", r"query outside 0\.\.1")]:
+            lines = ["3 2 1 bernoulli false", *body[:5], bad, *body[6:]]
+            with pytest.raises(ValueError, match=f"^line 7: {message}"):
+                read_edge_list(lines)
+        _, graph = read_edge_list(["3 2 1 bernoulli false", "", " "])
+        assert len(graph.edge_mult) == 0
 
 
 @pytest.mark.parametrize(
