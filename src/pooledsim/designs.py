@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import IO, Iterable
 
 import numpy as np
@@ -30,7 +31,7 @@ _CHUNK_CELLS = 8_000_000
 
 _MAX_SWAP_FACTOR = 100
 _MAX_OVERLAY_FRACTION = 0.01  # swap repair rebuilds its pair index past this overlay share
-_WRITE_CHUNK_EDGES = 65_536  # edges per formatted chunk of the edge-list writer
+_EDGE_LIST_CHUNK = 65_536  # lines per chunk of the edge-list writer and reader
 
 
 class SimplificationError(RuntimeError):
@@ -146,7 +147,12 @@ def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
         keys, mult = np.unique(keys, return_counts=True)
     else:
         mult = np.ones(keys.size, dtype=np.int64)
-    agents, queries = np.divmod(keys, spec.m, dtype=np.int64)
+    # Agent i's keys are [i * m, (i + 1) * m): split them at the n - 1 inner multiples of m.
+    inner = np.searchsorted(keys, np.arange(spec.m, spec.n * spec.m, spec.m, dtype=keys.dtype))
+    runs = np.diff(inner, prepend=0, append=keys.size)
+    agents = np.repeat(np.arange(spec.n, dtype=np.int64), runs)
+    queries = agents * -spec.m
+    queries += keys
     return PoolingGraph(spec.n, spec.m, spec.gamma, agents, queries, mult)
 
 
@@ -180,12 +186,38 @@ def _skip_keys(cells: int, p_edge: float, block: int, rng: np.random.Generator) 
 
     The gaps are drawn ``block`` at a time until the keys pass ``cells``.
     The gap sequence, and so the keys, do not depend on ``block``; the
-    number of draws past the last key does.
+    number of draws past the last key does.  For p_edge < 1/3 a block of
+    gaps is numpy's own inversion for ``rng.geometric``, done in one vector
+    pass; for p_edge >= 1/3 it is ``rng.geometric`` itself.  Either way the
+    gaps and the generator state after them are those of ``rng.geometric``
+    (see :func:`_geometric`).
     """
-    keys = np.cumsum(rng.geometric(p_edge, size=block)) - 1
+    keys = _geometric(p_edge, block, rng)
+    keys[0] -= 1
+    np.cumsum(keys, out=keys)
     while keys[-1] < cells:
-        keys = np.concatenate([keys, keys[-1] + np.cumsum(rng.geometric(p_edge, size=block))])
+        more = _geometric(p_edge, block, rng)
+        more[0] += keys[-1]
+        np.cumsum(more, out=more)
+        keys = np.concatenate([keys, more])
     return keys[: np.searchsorted(keys, cells)]
+
+
+def _geometric(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.geometric(p, size)``, drawn in one vector pass where numpy inverts.
+
+    For p < 1/3 numpy draws each value as ``ceil(-E / log1p(-p))`` from one
+    standard exponential E (Devroye 1986, section X.2), so dividing
+    ``rng.standard_exponential(size)`` by ``-math.log1p(-p)``, the libm call
+    numpy makes, gives the same values from the same stream.  For p >= 1/3
+    numpy searches the distribution function instead.
+    """
+    if p >= 1 / 3:
+        return rng.geometric(p, size=size)
+    gaps = rng.standard_exponential(size)
+    gaps /= -math.log1p(-p)  # a gap past 2**63, which numpy clamps, needs p below 5e-18
+    np.ceil(gaps, out=gaps)
+    return gaps.astype(np.int64)
 
 
 def _uniform_subsets(n: int, m: int, gamma: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,33 +263,46 @@ def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.nd
     if extra:
         degrees[rng.choice(spec.n, size=extra, replace=False)] += 1
     agent_stubs = np.repeat(np.arange(spec.n, dtype=np.int64), degrees)
-    members = rng.permutation(agent_stubs).reshape(spec.m, spec.gamma)
-    del agent_stubs
+    rng.shuffle(agent_stubs)  # what rng.permutation does, without its copy
+    members = agent_stubs.reshape(spec.m, spec.gamma)
     if not spec.allow_multi:
         members = _repair_slots(members, spec.n, rng)
     return members
 
 
-def _pair_counts(index: tuple[np.ndarray, ...], keys: np.ndarray) -> np.ndarray:
+def _pair_counts(
+    index: tuple[np.ndarray, ...], keys: np.ndarray, order: np.ndarray | None = None
+) -> np.ndarray:
     """Multiplicity of each ``query * n + agent`` key in the overlay ``index``.
 
     ``index`` is three sorted arrays ``(base, added, removed)``; a key counts
     once per copy in ``base`` and ``added`` and minus once per copy in
-    ``removed``.  Probing in sorted order keeps ``searchsorted`` cache-friendly.
+    ``removed``.  The keys are probed in sorted order, which keeps
+    ``searchsorted`` cache-friendly; ``order`` is ``np.argsort(keys)`` when
+    the caller already has it.  An empty ``added`` or ``removed``, as right
+    after a fold, is not searched.
     """
-    order = np.argsort(keys)
+    if order is None:
+        order = np.argsort(keys)
     probes = keys[order]
-    base, added, removed = (
-        np.searchsorted(arr, probes, side="right") - np.searchsorted(arr, probes) for arr in index
-    )
+    base, added, removed = index
+    found = np.searchsorted(base, probes, side="right") - np.searchsorted(base, probes)
+    if added.size:
+        found += np.searchsorted(added, probes, side="right") - np.searchsorted(added, probes)
+    if removed.size:
+        found -= np.searchsorted(removed, probes, side="right") - np.searchsorted(removed, probes)
     counts = np.empty(keys.size, dtype=np.int64)
-    counts[order] = base + added - removed
+    counts[order] = found
     return counts
 
 
-def _repeated(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``values`` that occur more than once in it."""
-    order = np.argsort(values)
+def _repeated(values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the entries of ``values`` that occur more than once in it.
+
+    ``order`` is ``np.argsort(values)`` when the caller already has it.
+    """
+    if order is None:
+        order = np.argsort(values)
     ordered = values[order]
     equal = np.concatenate([[False], ordered[1:] == ordered[:-1], [False]])  # to the left neighbour
     mask = np.empty(values.size, dtype=bool)
@@ -337,7 +382,10 @@ def _repair_slots(
         # creates the same new pair as another swap.
         probes = np.concatenate([b * n + u, a * n + v]).astype(key, copy=False)
         slots = np.concatenate([pending, partners])
-        blocked = (_pair_counts(overlay, probes) > 0) | _repeated(slots) | _repeated(probes)
+        order = np.argsort(probes)
+        blocked = (
+            (_pair_counts(overlay, probes, order) > 0) | _repeated(slots) | _repeated(probes, order)
+        )
         ok = (u != v) & (a != b) & ~blocked.reshape(2, -1).any(axis=0)
 
         applied = np.flatnonzero(ok)
@@ -376,13 +424,13 @@ def write_edge_list(stream: IO[str], graph: PoolingGraph, family: str, allow_mul
     Header line is ``n m gamma family multi``; every following line is an
     ``agent query multiplicity`` triple in lexicographic order, in decimal
     without padding.  The triples are formatted in numpy, one chunk of
-    ``_WRITE_CHUNK_EDGES`` edges and one ``stream.write`` at a time.
+    ``_EDGE_LIST_CHUNK`` edges and one ``stream.write`` at a time.
     """
     multi = "true" if allow_multi else "false"
     stream.write(f"{graph.n_agents} {graph.n_queries} {graph.gamma} {family} {multi}\n")
     columns = (graph.edge_agents, graph.edge_queries, graph.edge_mult)
-    for start in range(0, len(graph.edge_mult), _WRITE_CHUNK_EDGES):
-        stream.write(_edge_lines([col[start : start + _WRITE_CHUNK_EDGES] for col in columns]))
+    for start in range(0, len(graph.edge_mult), _EDGE_LIST_CHUNK):
+        stream.write(_edge_lines([col[start : start + _EDGE_LIST_CHUNK] for col in columns]))
 
 
 def _edge_lines(columns: list[np.ndarray]) -> str:
@@ -428,23 +476,35 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
         raise ValueError(f"malformed multi flag {flag!r}, expected 'true' or 'false'")
     allow_multi = flag == "true"
     spec = DesignSpec(n=n, m=m, gamma=gamma, family=family, allow_multi=allow_multi)
-    # Only the non-blank lines are parsed: the i-th of them, like edge i,
-    # is on file line np.flatnonzero(nonblank)[i] + 2.
-    body = list(map(str.strip, it))
-    nonblank = np.frombuffer(bytes(map(bool, body)), dtype=bool)
-    if not nonblank.all():  # copying a canonical body raised the peak of repeated reads
-        body = list(filter(None, body))
-    rows = _rows(body)
-    if rows is None:
-        # Each line parses or not on its own, so bisect: body[lo:hi] holds the first bad line.
-        lo, hi = 0, len(body)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _rows(body[lo:mid]) is None else (mid, hi)
-        line = np.flatnonzero(nonblank)[lo] + 2
-        raise ValueError(f"line {line}: expected an integer 'agent query multiplicity' triple")
-    del body  # the lines weigh most; drop them before the columns are copied
-    agent_arr, query_arr, mult_arr = np.ascontiguousarray(rows.T)
+    # Only the non-blank lines are parsed, one chunk of lines at a time, and a
+    # chunk's strings are dropped once it parses: the i-th non-blank line,
+    # like edge i, is on file line np.flatnonzero(nonblank)[i] + 2.
+    nonblank = bytearray()
+    parts = []
+    edges = 0
+    while True:
+        chunk = list(map(str.strip, islice(it, _EDGE_LIST_CHUNK)))
+        last = len(chunk) < _EDGE_LIST_CHUNK
+        nonblank += bytes(map(bool, chunk))
+        if not all(chunk):
+            chunk = list(filter(None, chunk))
+        rows = _rows(chunk)
+        if rows is None:
+            # Each line parses or not on its own, so bisect: chunk[lo:hi] holds the first bad line.
+            lo, hi = 0, len(chunk)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if _rows(chunk[lo:mid]) is None else (mid, hi)
+            line = np.flatnonzero(np.frombuffer(nonblank, dtype=bool))[edges + lo] + 2
+            raise ValueError(f"line {line}: expected an integer 'agent query multiplicity' triple")
+        del chunk
+        parts.append(rows.T)
+        edges += len(rows)
+        if last:
+            break
+    nonblank = np.frombuffer(nonblank, dtype=bool)
+    agent_arr, query_arr, mult_arr = np.concatenate(parts, axis=1)
+    del parts
 
     # Each edge against the one before it; the first edge steps by 1.
     step_a = np.diff(agent_arr, prepend=agent_arr[:1] - 1)

@@ -72,6 +72,14 @@ def bernoulli_dense_reference(spec, rng: np.random.Generator) -> PoolingGraph:
     return graph_from_pairs(spec.n, spec.m, spec.gamma, np.column_stack([agents, queries]))
 
 
+def skip_keys_reference(cells: int, p_edge: float, block: int, rng: np.random.Generator) -> np.ndarray:
+    """The former skip sampler: every block of gaps drawn by ``rng.geometric``."""
+    keys = np.cumsum(rng.geometric(p_edge, size=block)) - 1
+    while keys[-1] < cells:
+        keys = np.concatenate([keys, keys[-1] + np.cumsum(rng.geometric(p_edge, size=block))])
+    return keys[: np.searchsorted(keys, cells)]
+
+
 def read_bit(bit: int, channel, rng: np.random.Generator) -> int:
     """One read of a single bit through the channel; independent across calls."""
     prob = channel.s11 if bit else channel.s01

@@ -16,6 +16,7 @@ from oracles import (
     repair_slots_reference,
     same_graph,
     simplify,
+    skip_keys_reference,
     write_edge_list_reference,
 )
 from pooledsim.channel import QueryOutcomes
@@ -304,6 +305,29 @@ def test_bernoulli_keys_do_not_depend_on_the_block_size(block):
             spec.n * spec.m, spec.gamma / spec.n, block, np.random.default_rng(seed)
         )
         assert keys.tolist() == (graph.edge_agents * spec.m + graph.edge_queries).tolist()
+
+
+@pytest.mark.parametrize(
+    "p_edge",
+    [1e-6, 0.05, 0.1, np.nextafter(1 / 3, 0), 1 / 3, 0.5, 1.0],
+    ids=["1e-6", "0.05", "0.1", "below-1/3", "1/3", "0.5", "1"],
+)
+def test_skip_keys_match_the_geometric_reference(p_edge):
+    # Below 1/3 the gaps are numpy's inversion done in one vector pass, at and
+    # above it they are rng.geometric's own: either way the keys, their dtype
+    # and the generator state after match the rng.geometric sampler's.  A
+    # 7-gap block runs the top-up loop; one block of 10^5 expected keys
+    # reaches far into the exponential tail.
+    for mean, blocks, seeds in [(200, (7, 300), 5), (10**5, (10**5 + 1900,), 2)]:
+        cells = math.ceil(mean / p_edge)
+        for block in blocks:
+            for seed in range(seeds):
+                fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                fast = pooledsim.designs._skip_keys(cells, p_edge, block, fast_rng)
+                slow = skip_keys_reference(cells, p_edge, block, slow_rng)
+                assert fast.dtype == slow.dtype
+                assert np.array_equal(fast, slow)
+                assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
 # ------------------------------------------------------------------ simplify
@@ -726,7 +750,11 @@ def test_edge_list_rejects_malformed_header(text, message):
 
 # Body lines of a valid 4-agent, 3-query file; None marks a blank line.
 LOCATOR_BODY = ["0 0 1", None, "0 2 1", "1 1 1", "  ", "2 0 1", None, None, "3 1 1", "3 2 1"]
-LONG_LOCATOR_BODY = [f"{agent} {query} 1" for agent in range(4) for query in range(2500)]
+# More than one 65,536-line parse chunk (agents 0..3, each in queries 0..16999),
+# with blank lines on both sides of the chunk boundary.
+LONG_LOCATOR_BODY = [f"{agent} {query} 1" for agent in range(4) for query in range(17_000)]
+LONG_LOCATOR_BODY[65_533:65_533] = ["", "  ", ""]  # body lines 65,533..65,535
+LONG_LOCATOR_BODY[65_537:65_537] = ["", "\t"]  # body lines 65,537 and 65,538
 
 
 @pytest.mark.parametrize("field, message", [("x", "expected an integer"), ("4", "agent outside")])
@@ -742,11 +770,11 @@ def test_edge_list_locates_each_bad_line(field, message):
         with pytest.raises(ValueError, match=f"^line {target + 2}: {message}"):
             read_edge_list(io.StringIO(text))
 
-    # A 10^4-line body (agents 0..3, each in queries 0..2499) takes the bisection deeper.
-    for target in (0, 4321, len(LONG_LOCATOR_BODY) - 1):
+    # The long body takes the bisection deeper, and into the second chunk.
+    for target in (0, 4321, 65_536, 65_539, len(LONG_LOCATOR_BODY) - 1):
         body = list(LONG_LOCATOR_BODY)
         body[target] = f"{field} {body[target].split(' ', 1)[1]}"
-        text = "4 2500 4 one_sided_regular false\n" + "\n".join(body) + "\n"
+        text = "4 17000 4 one_sided_regular false\n" + "\n".join(body) + "\n"
         with pytest.raises(ValueError, match=f"^line {target + 2}: {message}"):
             read_edge_list(io.StringIO(text))
 
