@@ -95,10 +95,19 @@ class PoolingGraph:
         return _read_only(np.searchsorted(self.edge_agents, np.arange(self.n_agents + 1)))
 
     def agent_sums(self, edge_values: np.ndarray) -> np.ndarray:
-        """Per-agent int64 sums of a per-edge array, as differences of one running sum."""
-        running = np.zeros(edge_values.size + 1, dtype=np.int64)
-        np.cumsum(edge_values, out=running[1:])  # wraps mod 2**64, and the differences wrap back
-        return np.diff(running[self.agent_starts])
+        """Per-agent int64 sums of a per-edge array, one segmented reduction.
+
+        ``np.add.reduceat`` sums each agent's segment (wrapping mod 2**64 like
+        any int64 sum).  It cannot start a segment at E, so the trailing
+        edgeless agents are cut off, and it returns the first value of the
+        next segment for an empty one, so the other edgeless agents are zeroed.
+        """
+        starts = self.agent_starts[:-1]
+        kept = int(np.searchsorted(starts, edge_values.size))
+        sums = np.zeros(self.n_agents, dtype=np.int64)
+        sums[:kept] = np.add.reduceat(edge_values, starts[:kept], dtype=np.int64)
+        sums[self.distinct_agent_degrees == 0] = 0
+        return sums
 
     @cached_property
     def agent_degrees(self) -> np.ndarray:
@@ -361,7 +370,10 @@ def _repair_slots(
     dup_slots = rows * gamma + by_agent.reshape(-1)[dup] % gamma
     dup_keys = (index[dup] - row_keys.reshape(-1)[rows]) * m + rows.astype(key)
     del by_agent
-    pending = dup_slots[np.lexsort((dup_slots, dup_keys))]
+    # The copies of one pair sit side by side in their sorted row, in column
+    # order, so dup_slots already lists equal keys in slot order and a stable
+    # sort by key gives the (agent * m + query, slot) order.
+    pending = dup_slots[np.argsort(dup_keys, kind="stable")]
     empty = np.empty(0, dtype=key)
     overlay = (index, empty, empty)
 

@@ -302,6 +302,8 @@ def run_sweep(
         for family, multi in families
         for index in range(trials_per_point)
     ]
+    # A pool forks all of its workers up front, so it gets no more than tasks.
+    workers = min(workers, len(tasks))
     if workers > 1:
         chunksize = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

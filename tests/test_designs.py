@@ -794,8 +794,8 @@ def test_edge_list_degrees_are_exact_int64():
 
 
 def test_edge_list_agent_degrees_survive_a_wrapping_running_sum():
-    # The running sum of the multiplicities passes 2**63 at agent 2; each
-    # agent's difference of it wraps back to the agent's own multiplicity.
+    # A running sum of the multiplicities would pass 2**63 at agent 2; each
+    # agent's sum must still be the agent's own multiplicity.
     top = np.iinfo(np.int64).max
     lines = [f"3 2 {top} one_sided_regular true", f"0 0 {top}", f"2 1 {top}"]
     with warnings.catch_warnings():
@@ -809,13 +809,19 @@ def test_edge_list_agent_degrees_survive_a_wrapping_running_sum():
 
 # Sparse Bernoulli graphs leave agents without edges, agent 0 and agent n - 1
 # among them; the listed pairs leave agents 0, 2, 4 and 6 edgeless and repeat
-# the pair (1, 0); the DR/multi graph has multi-edges.
+# the pair (1, 0); the DR/multi graph has multi-edges.  The edgeless graph has
+# E = 0; the last-agent graph leaves agents 1, 2 and 4 edgeless and gives
+# agent 5, the last, a multi-edge.
 OFFSET_GRAPHS = {
     "bernoulli-sparse": lambda: generate(
         DesignSpec(n=50, m=3, gamma=1, family="bernoulli"), np.random.default_rng(4)
     ),
     "bernoulli-figure": lambda: generate(
         DesignSpec(n=1000, m=30, gamma=10, family="bernoulli"), np.random.default_rng(5)
+    ),
+    "edgeless": lambda: graph_from_pairs(5, 3, 2, []),
+    "last-agent-with-edges": lambda: graph_from_pairs(
+        6, 3, 2, [(0, 1), (3, 0), (3, 2), (5, 0), (5, 2), (5, 2)]
     ),
     "pairs-with-gaps": lambda: graph_from_pairs(
         7, 4, 2, [(1, 0), (1, 0), (1, 3), (3, 1), (5, 0), (5, 2), (5, 3)]
@@ -836,6 +842,10 @@ def test_agent_offsets_match_scatter_oracles(name):
         assert distinct[0] == distinct[-1] == 0 and (distinct[1:-1] == 0).any()
     if name.endswith("multi"):
         assert (graph.edge_mult > 1).any()
+    if name == "edgeless":
+        assert graph.edge_agents.size == 0
+    if name == "last-agent-with-edges":
+        assert distinct[-1] > 0 and (distinct[1:-1] == 0).any() and graph.edge_mult[-1] > 1
     degrees = np.zeros(n, dtype=np.int64)
     np.add.at(degrees, graph.edge_agents, graph.edge_mult)
     starts = np.concatenate([[0], np.cumsum(distinct)])

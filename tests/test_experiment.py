@@ -212,6 +212,34 @@ def test_run_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("trials, pool_size", [(1, None), (3, 3)])
+def test_run_sweep_pool_has_no_more_workers_than_tasks(monkeypatch, trials, pool_size):
+    # The stub maps serially, so no process is started whatever is requested.
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    config = make_config()
+    serial = run_sweep(config, [100], [("doubly_regular", False)], trials_per_point=trials)
+    monkeypatch.setattr(pooledsim.experiment, "ProcessPoolExecutor", SerialPool)
+    capped = run_sweep(
+        config, [100], [("doubly_regular", False)], trials_per_point=trials, workers=5000
+    )
+    assert pools == ([] if pool_size is None else [pool_size])
+    assert capped == serial
+
+
 def test_run_sweep_adding_grid_points_keeps_existing_trials():
     config = make_config()
     small = run_sweep(config, [150], [("doubly_regular", False)], trials_per_point=8)
