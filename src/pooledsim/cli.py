@@ -169,6 +169,7 @@ def _manifest(extra: dict) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     with _user_input():
         config = _trial_config(vars(args), _design(args))
+        _check_seed(args.trial_index, "trial index")
     _warn_gamma_window(config.design, config.resolved_p())
     detail = run_trial_detailed(config, args.m, args.trial_index)
     result = detail.result

@@ -26,9 +26,6 @@ __all__ = [
 
 FAMILIES = ("bernoulli", "one_sided_regular", "doubly_regular")
 
-# Chunk size (in matrix cells) for the dense subset sampler, keeps memory bounded.
-_CHUNK_CELLS = 8_000_000
-
 _MAX_SWAP_FACTOR = 100
 _MAX_OVERLAY_FRACTION = 0.01  # swap repair rebuilds its pair index past this overlay share
 _EDGE_LIST_CHUNK = 65_536  # lines per chunk of the edge-list writer and reader
@@ -229,28 +226,30 @@ def _geometric(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
     return gaps.astype(np.int64)
 
 
-def _uniform_subsets(n: int, m: int, gamma: int, rng: np.random.Generator) -> np.ndarray:
-    """m independent uniform gamma-subsets of range(n), as an (m, gamma) array."""
-    if gamma == n:
-        return np.tile(np.arange(n, dtype=np.int64), (m, 1))
-    out = np.empty((m, gamma), dtype=np.int64)
-    rows_per_chunk = max(1, _CHUNK_CELLS // n)
-    for start in range(0, m, rows_per_chunk):
-        rows = min(rows_per_chunk, m - start)
-        u = rng.random((rows, n))
-        out[start : start + rows] = np.argpartition(u, gamma, axis=1)[:, :gamma]
-    return out
-
-
 def _one_sided_members(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
     """Every query independently draws gamma agents; returns the (m, gamma) members.
 
-    The multi variant draws with replacement, the simple variant draws a
-    uniform gamma-subset.
+    The multi variant draws with replacement.  The simple variant draws with
+    replacement, keeps one copy of each agent and draws again for those a query
+    still lacks, so each query gets a uniform subset (Devroye 1986, ch. XII).
     """
     if spec.allow_multi:
         return rng.integers(0, spec.n, size=(spec.m, spec.gamma))
-    return _uniform_subsets(spec.n, spec.m, spec.gamma, rng)
+    drawn = min(spec.gamma, spec.n - spec.gamma)  # above n/2, draw the agents left out
+    key = _key_dtype(spec.n, spec.m, spec.gamma)
+    starts = np.arange(spec.m, dtype=key) * key(spec.n)
+    chosen = np.empty(0, dtype=key)  # sorted distinct query * n + agent keys
+    while chosen.size < spec.m * drawn:
+        missing = drawn - np.diff(np.searchsorted(chosen, starts), append=chosen.size)
+        fresh = np.repeat(starts, missing) + rng.integers(0, spec.n, missing.sum(), dtype=key)
+        chosen = np.concatenate([chosen, np.sort(fresh)])
+        chosen.sort(kind="stable")  # merges the two sorted runs
+        chosen = chosen[np.concatenate([[True], chosen[1:] != chosen[:-1]])]
+    if drawn == spec.gamma:
+        return (chosen % key(spec.n)).astype(np.int64).reshape(spec.m, spec.gamma)
+    kept = np.ones(spec.m * spec.n, dtype=bool)
+    kept[chosen] = False
+    return (np.flatnonzero(kept) % spec.n).reshape(spec.m, spec.gamma)
 
 
 def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:

@@ -77,18 +77,20 @@ def derive_seed(base: int, indices: Iterable[int] = ()) -> int:
 
     The splitmix64 finalizer is applied to the base, then re-applied after
     xoring in each salted index left-to-right.  Distinct index tuples yield
-    distinct streams with overwhelming probability.
+    distinct streams with overwhelming probability.  The base and every index
+    must lie in [0, 2**64), else ValueError: the mix reads them mod 2**64, so
+    a value outside would alias one inside.
     """
-    state = _mix64(base)
+    state = _mix64(_check_seed(base))
     for index in indices:
-        state = _mix64(state ^ ((_INDEX_SALT * index) & _MASK64))
+        state = _mix64(state ^ ((_INDEX_SALT * _check_seed(index, "seed index")) & _MASK64))
     return state
 
 
-def _check_seed(seed: int) -> int:
-    """Return ``seed``; raise ValueError unless it lies in [0, 2**64)."""
+def _check_seed(seed: int, name: str = "seed") -> int:
+    """Return ``seed``; raise ValueError, naming it ``name``, unless it lies in [0, 2**64)."""
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed
 
 
@@ -96,6 +98,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes={successes} must lie in [0, trials={trials}]")
     z2 = _WILSON_Z * _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z2 / trials

@@ -72,6 +72,23 @@ def bernoulli_dense_reference(spec, rng: np.random.Generator) -> PoolingGraph:
     return graph_from_pairs(spec.n, spec.m, spec.gamma, np.column_stack([agents, queries]))
 
 
+def uniform_subsets_reference(n: int, m: int, gamma: int, rng: np.random.Generator) -> np.ndarray:
+    """The former one-sided simple sampler: m uniform gamma-subsets of range(n).
+
+    Each row of the (m, gamma) result argpartitions n uniforms, in chunks of whole rows.
+    """
+    chunk_cells = 8_000_000
+    if gamma == n:
+        return np.tile(np.arange(n, dtype=np.int64), (m, 1))
+    out = np.empty((m, gamma), dtype=np.int64)
+    rows_per_chunk = max(1, chunk_cells // n)
+    for start in range(0, m, rows_per_chunk):
+        rows = min(rows_per_chunk, m - start)
+        u = rng.random((rows, n))
+        out[start : start + rows] = np.argpartition(u, gamma, axis=1)[:, :gamma]
+    return out
+
+
 def skip_keys_reference(cells: int, p_edge: float, block: int, rng: np.random.Generator) -> np.ndarray:
     """The former skip sampler: every block of gaps drawn by ``rng.geometric``."""
     keys = np.cumsum(rng.geometric(p_edge, size=block)) - 1

@@ -477,6 +477,16 @@ def test_every_subcommand_rejects_a_seed_outside_64_bits(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("index", [-1, 2**64])
+def test_simulate_rejects_a_trial_index_outside_64_bits(capsys, index):
+    # 2**64 would alias trial 0's seed, since the seed mix reads it mod 2**64.
+    code = main(simulate_args(["--trial-index", str(index)]))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"pooledsim: error: trial index must lie in [0, 2**64), got {index}" in captured.err
+
+
 def test_sweep_rejects_config_that_is_not_utf8(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_bytes(SWEEP_CONFIG.encode("utf-8") + b"# \xff\n")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from oracles import (
     same_graph,
     simplify,
     skip_keys_reference,
+    uniform_subsets_reference,
     write_edge_list_reference,
 )
 from pooledsim.channel import QueryOutcomes
@@ -200,6 +202,36 @@ def test_one_sided_regular_query_degrees():
         assert (graph.query_degrees == 7).all()
         if not multi:
             assert is_simple(graph)
+
+
+@pytest.mark.parametrize("gamma", range(1, 7))
+def test_one_sided_simple_rows_are_uniform_subsets(gamma):
+    # Up to gamma = 3 a row draws its agents, above it the agents it leaves out.
+    n, rows = 6, 6000
+    spec = DesignSpec(n=n, m=rows, gamma=gamma, family="one_sided_regular")
+    members = pooledsim.designs._one_sided_members(spec, np.random.default_rng(30 + gamma))
+    assert members.dtype == np.int64 and members.shape == (rows, gamma)
+    masks = np.bitwise_or.reduce(1 << members, axis=1)  # a repeat leaves a bit short
+    subsets = [sum(1 << a for a in c) for c in itertools.combinations(range(n), gamma)]
+    counts = np.bincount(masks, minlength=1 << n)
+    assert counts.sum() == counts[subsets].sum() == rows
+    if len(subsets) > 1:
+        assert scipy.stats.chisquare(counts[subsets]).pvalue > 0.001
+
+
+@pytest.mark.parametrize("gamma", [12, 33])
+def test_one_sided_simple_agent_degrees_match_the_reference(gamma):
+    spec = DesignSpec(n=50, m=40, gamma=gamma, family="one_sided_regular")
+    rng, ref_rng = np.random.default_rng(gamma), np.random.default_rng(100 + gamma)
+    new = np.concatenate([generate(spec, rng).agent_degrees for _ in range(300)])
+    old = np.concatenate([
+        np.bincount(uniform_subsets_reference(50, 40, gamma, ref_rng).ravel(), minlength=50)
+        for _ in range(300)
+    ])
+    # clip the sparse tails into the end cells so the chi-square approximation is sound
+    lo, hi = scipy.stats.binom.ppf([0.001, 0.999], spec.m, gamma / spec.n).astype(int)
+    table = [np.bincount(np.clip(d, lo, hi) - lo, minlength=hi - lo + 1) for d in (new, old)]
+    assert scipy.stats.chi2_contingency(table).pvalue > 0.001
 
 
 def test_one_sided_multi_self_pair_rate():
@@ -488,7 +520,7 @@ MEMBERS_OF = {
     [
         (60, 40, 30),
         (1000, 300, 100),
-        (10, 8, 10),  # gamma = n: full rows (np.tile for one-sided)
+        (10, 8, 10),  # gamma = n: full rows
         (1, 3, 1),
     ],
 )
@@ -510,12 +542,13 @@ def test_simple_generate_sorts_like_unique(family, n, m, gamma):
 
 # The pair keys are below n * max(m, gamma): these points sit at n * m = 2**32
 # (uint32 keys up to 2**32 - 1), just past it, and where n * gamma alone
-# passes it.  The one-sided simple sampler draws n * m uniforms, 4.3e9 at
-# the first two points, so that family runs only at the last.
+# passes it.
 WIDE_KEY_POINTS = [
     ("doubly_regular", 65_536, 65_536, 4, np.uint32),
     ("doubly_regular", 65_536, 65_537, 4, np.int64),
     ("doubly_regular", 131_072, 9, 32_769, np.int64),
+    ("one_sided_regular", 65_536, 65_536, 4, np.uint32),
+    ("one_sided_regular", 65_536, 65_537, 4, np.int64),
     ("one_sided_regular", 131_072, 9, 32_769, np.int64),
 ]
 

@@ -58,6 +58,15 @@ def test_derive_seed_orderings_matter():
     assert 0 <= derive_seed(7, [5]) < 2**64
 
 
+@pytest.mark.parametrize("value", [-1, 2**64])
+def test_derive_seed_rejects_a_base_or_index_outside_64_bits(value):
+    with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {value}$"):
+        derive_seed(value, [1])
+    with pytest.raises(ValueError, match=rf"^seed index must lie in \[0, 2\*\*64\), got {value}$"):
+        derive_seed(7, [1, value])
+    assert derive_seed(2**64 - 1, [2**64 - 1]) != derive_seed(7, [0])
+
+
 # ------------------------------------------------------------------ wilson
 
 
@@ -66,6 +75,13 @@ def test_wilson_interval_brackets_rate():
         low, high = wilson_interval(successes, trials)
         rate = successes / trials
         assert 0.0 <= low <= rate <= high <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 10), (11, 10)])
+def test_wilson_interval_rejects_successes_outside_the_trials(successes, trials):
+    message = rf"^successes={successes} must lie in \[0, trials={trials}\]$"
+    with pytest.raises(ValueError, match=message):
+        wilson_interval(successes, trials)
 
 
 def test_wilson_interval_narrows_with_trials():

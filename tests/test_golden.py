@@ -31,7 +31,12 @@ GENERATE_CASES = {
     ),
     "one_sided_simple": (
         ["--n", "60", "--m", "40", "--gamma", "30", "--family", "one_sided_regular"],
-        "2ef60aec4178c39c52f1dc696533afc0d46b5f29e51854d2061638c16fd9d8b6",
+        "1c37a902bf7aac6e26df1edad8e75afddcb39d44f03d102d373a417be6a14863",
+    ),
+    # gamma > n/2: each query draws the 15 agents it leaves out
+    "one_sided_simple_dense": (
+        ["--n", "60", "--m", "40", "--gamma", "45", "--family", "one_sided_regular"],
+        "63e437e2413844b6d2345b774e6f4863a5297e7e9e848a72e6d69bbe802e6be0",
     ),
     "one_sided_multi": (
         ["--n", "60", "--m", "40", "--gamma", "30", "--family", "one_sided_regular", "--multi"],
