@@ -278,20 +278,15 @@ def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.nd
     return members
 
 
-def _pair_counts(
-    index: tuple[np.ndarray, ...], keys: np.ndarray, order: np.ndarray | None = None
-) -> np.ndarray:
+def _pair_counts(index: tuple[np.ndarray, ...], keys: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Multiplicity of each ``query * n + agent`` key in the overlay ``index``.
 
     ``index`` is three sorted arrays ``(base, added, removed)``; a key counts
     once per copy in ``base`` and ``added`` and minus once per copy in
-    ``removed``.  The keys are probed in sorted order, which keeps
-    ``searchsorted`` cache-friendly; ``order`` is ``np.argsort(keys)`` when
-    the caller already has it.  An empty ``added`` or ``removed``, as right
-    after a fold, is not searched.
+    ``removed``.  ``order`` is ``np.argsort(keys)``: the keys are probed in
+    sorted order, which keeps ``searchsorted`` cache-friendly.  An empty
+    ``added`` or ``removed``, as right after a fold, is not searched.
     """
-    if order is None:
-        order = np.argsort(keys)
     probes = keys[order]
     base, added, removed = index
     found = np.searchsorted(base, probes, side="right") - np.searchsorted(base, probes)
@@ -338,6 +333,13 @@ def _repair_slots(
     for the repair order, ``agent * gamma + column`` for the row sort) are
     uint32 while ``n * max(m, gamma) <= 2**32`` and int64 past it (see
     :func:`_key_dtype`); slot indices stay int64.
+
+    The pending slots keep one invariant: they are every copy but one of each
+    repeated pair, those of one pair adjacent and in slot order.  A pending
+    slot drawn as a partner is blocked as a shared slot, so an applied swap's
+    partner side can break only a pair's one kept copy, and only one partner
+    can draw that slot; that pair then drops its last surviving pending slot.
+    So the overlay is probed once per batch, and no pair is recounted.
     """
     n_queries, gamma = members.shape
     if gamma > n_agents:
@@ -390,14 +392,15 @@ def _repair_slots(
 
         # A swap is blocked when a new pair (u, b) or (v, a) already exists,
         # when it shares a slot with another swap of the batch, or when it
-        # creates the same new pair as another swap.
+        # creates the same new pair as another swap.  With u == v or a == b a
+        # new pair is the pending pair itself, which exists.
         probes = np.concatenate([b * n + u, a * n + v]).astype(key, copy=False)
         slots = np.concatenate([pending, partners])
         order = np.argsort(probes)
         blocked = (
             (_pair_counts(overlay, probes, order) > 0) | _repeated(slots) | _repeated(probes, order)
         )
-        ok = (u != v) & (a != b) & ~blocked.reshape(2, -1).any(axis=0)
+        ok = ~blocked.reshape(2, -1).any(axis=0)
 
         applied = np.flatnonzero(ok)
         agents[pending[applied]] = v[applied]
@@ -413,18 +416,14 @@ def _repair_slots(
             broken = np.stack([a * n + u, b * n + v])[:, applied].astype(key, copy=False)
             overlay = (base, np.sort(np.append(added, made)), np.sort(np.append(removed, broken)))
 
-        # A rejected slot kept its agent (a slot both pending and a partner is
-        # blocked), so the survivors stay in (agent * m + query, slot) order
-        # with the copies of one pair adjacent.  Partner-side rewires can
-        # shrink a pair's multiplicity, so cap the surviving repair slots at
-        # (current multiplicity - 1) per pair.
-        remaining = pending[~ok]
-        rem_keys = ((remaining // gamma) * n + agents[remaining]).astype(key, copy=False)
-        run_start = np.flatnonzero(np.diff(rem_keys, prepend=-1))
-        run_len = np.diff(run_start, append=remaining.size)
-        surplus = _pair_counts(overlay, rem_keys[run_start]) - 1
-        pos_in_run = np.arange(remaining.size) - np.repeat(run_start, run_len)
-        pending = remaining[pos_in_run < np.repeat(surplus, run_len)]
+        # A rejected slot kept its agent, so the survivors keep the invariant's
+        # order once each pair a partner side broke drops its last survivor.
+        pending = pending[~ok]
+        if pending.size:
+            pending_keys = agents[pending] * m + pending // gamma  # sorted, by the invariant
+            hit = np.sort(v[applied] * m + b[applied])  # sorted needles search faster
+            last = np.searchsorted(pending_keys, hit, side="right") - 1
+            pending = np.delete(pending, last[pending_keys[last] == hit])
 
     return members
 

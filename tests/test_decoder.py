@@ -374,6 +374,36 @@ def test_score_law_matches_hypergeometric_once():
     assert pvalue > 0.01
 
 
+def test_score_law_through_the_package_matches_hypergeometric():
+    # Criterion 4's held-out agent-0 statistic, built by generate, run_queries
+    # and compute_score_vector from one design seed per sample and one truth.
+    # Every agent has degree m * gamma / n = 2.  Scores do not depend on p;
+    # p = 0.05 keeps the threshold defined at m = 10, where p = k / n does not.
+    n, m, gamma, k, degree = 30, 10, 6, 8, 2
+    bits = np.zeros(n, dtype=np.int8)
+    bits[np.random.default_rng(515).choice(n, size=k, replace=False)] = 1
+    truth = GroundTruth(bits)
+    spec = DesignSpec(n=n, m=m, gamma=gamma, family="doubly_regular", allow_multi=True)
+    samples = 2 * 10**4
+    x_values = np.empty(samples, dtype=np.int64)
+    strata = np.empty(samples, dtype=np.int64)
+    for seed in range(samples):
+        rng = np.random.default_rng([515, seed])
+        graph = generate(spec, rng)
+        outcomes = run_queries(graph, truth, IDENT, rng)
+        x_values[seed] = compute_score_vector(graph, outcomes, 0.05, IDENT, m).scores[0]
+        strata[seed] = graph.distinct_agent_degrees[0]
+    x_values -= degree * int(bits[0])
+    pvalue = stratified_hypergeometric_chi2(
+        x_values,
+        strata,
+        population=degree * (n - 1),
+        positives=degree * (k - int(bits[0])),
+        draws_for_stratum=lambda d: int(gamma * d - degree),
+    )
+    assert pvalue > 0.01
+
+
 def test_expected_score_identity_over_regenerated_graphs():
     # Mean score over regenerated graphs and noise matches the closed form
     # with the exact expected distinct degree.

@@ -450,6 +450,8 @@ def assert_repairs_agree(members, n, seed):
     [
         (2, 3, 1, 20),
         (2, 2, 2, 20),
+        (3, 3, 3, 20),  # gamma = n: every row holds every agent, complete bipartite
+        (6, 4, 6, 10),
         (8, 6, 6, 20),  # gamma = 3n/4: dense rows
         (40, 30, 30, 10),
         (1000, 300, 100, 3),  # the figure point
@@ -790,8 +792,16 @@ LONG_LOCATOR_BODY[65_533:65_533] = ["", "  ", ""]  # body lines 65,533..65,535
 LONG_LOCATOR_BODY[65_537:65_537] = ["", "\t"]  # body lines 65,537 and 65,538
 
 
-@pytest.mark.parametrize("field, message", [("x", "expected an integer"), ("4", "agent outside")])
-def test_edge_list_locates_each_bad_line(field, message):
+LOCATOR_FIELDS = [("x", "expected an integer"), ("4", "agent outside")]
+
+
+def assert_locates(body, line, message):
+    text = "4 3 1 one_sided_regular false\n" + "\n".join(body) + "\n"
+    with pytest.raises(ValueError, match=f"^line {line}: {message}"):
+        read_edge_list(io.StringIO(text))
+
+
+def assert_locates_each_bad_short_line(field, message):
     for target, line in enumerate(LOCATOR_BODY):
         if line is None or not line.strip():
             continue
@@ -799,9 +809,12 @@ def test_edge_list_locates_each_bad_line(field, message):
             "" if text is None else (f"{field} {text.split(' ', 1)[1]}" if i == target else text)
             for i, text in enumerate(LOCATOR_BODY)
         ]
-        text = "4 3 1 one_sided_regular false\n" + "\n".join(body) + "\n"
-        with pytest.raises(ValueError, match=f"^line {target + 2}: {message}"):
-            read_edge_list(io.StringIO(text))
+        assert_locates(body, target + 2, message)
+
+
+@pytest.mark.parametrize("field, message", LOCATOR_FIELDS)
+def test_edge_list_locates_each_bad_line(field, message):
+    assert_locates_each_bad_short_line(field, message)
 
     # The long body takes the bisection deeper, and into the second chunk.
     for target in (0, 4321, 65_536, 65_539, len(LONG_LOCATOR_BODY) - 1):
@@ -810,6 +823,37 @@ def test_edge_list_locates_each_bad_line(field, message):
         text = "4 17000 4 one_sided_regular false\n" + "\n".join(body) + "\n"
         with pytest.raises(ValueError, match=f"^line {target + 2}: {message}"):
             read_edge_list(io.StringIO(text))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_edge_list_locates_bad_lines_at_chunk_edges(monkeypatch, chunk):
+    # Chunks of 1 to 3 lines put every body line and every blank line on a chunk edge.
+    monkeypatch.setattr(pooledsim.designs, "_EDGE_LIST_CHUNK", chunk)
+    for field, message in LOCATOR_FIELDS:
+        assert_locates_each_bad_short_line(field, message)
+    kept = [i for i, line in enumerate(LOCATOR_BODY) if line and line.strip()]
+    for before, target in zip(kept, kept[1:]):
+        body = ["" if text is None else text for text in LOCATOR_BODY]
+        repeated = list(body)
+        repeated[target] = body[before]
+        assert_locates(repeated, target + 2, "repeats the line before")
+        body[before], body[target] = body[target], body[before]
+        assert_locates(body, target + 2, "precedes the line before")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("family, multi", sorted(FAMILY_STREAM_IDS))
+def test_edge_list_round_trip_at_chunk_edges(monkeypatch, chunk, family, multi):
+    monkeypatch.setattr(pooledsim.designs, "_EDGE_LIST_CHUNK", chunk)
+    spec = DesignSpec(7, 5, 3, family, multi)
+    graph = generate(spec, np.random.default_rng(chunk))
+    lines = edge_list_lines(write_edge_list, graph, family, multi)
+    assert lines == edge_list_lines(write_edge_list_reference, graph, family, multi)
+    text = "".join(lines)
+    for body in (text, text.replace("\n", "\n\n")):  # the second with a blank line after each
+        spec_back, graph_back = read_edge_list(io.StringIO(body))
+        assert spec_back == spec
+        assert same_graph(graph_back, graph)
 
 
 def test_edge_list_degrees_are_exact_int64():
