@@ -1,8 +1,10 @@
 """Random bipartite pooling designs: Bernoulli, one-sided regular, doubly regular.
 
-All generators are pure functions of (spec, rng).  Graphs are stored as the
-multiset of (agent, query) pairs in lexicographic order, which doubles as the
-canonical on-disk edge-list format.
+All generators are pure functions of (spec, rng).  A graph is stored agent
+by agent: one segment of (query, multiplicity) edges per agent, queries
+ascending, and the offsets of the segments.  Read in order, the segments are
+the (agent, query) pairs in lexicographic order, which is also the canonical
+on-disk edge-list format.
 """
 from __future__ import annotations
 
@@ -66,30 +68,31 @@ class DesignSpec:
 
 @dataclass(frozen=True, eq=False)
 class PoolingGraph:
-    """Bipartite multigraph between agents and queries.
+    """Bipartite multigraph between agents and queries, one edge segment per agent.
 
-    Edges are stored as unique (agent, query) pairs with multiplicities, sorted
-    lexicographically, in three read-only arrays.  The agent-major order puts
-    each agent's edges in one contiguous segment, which :attr:`agent_starts`
-    indexes.  ``gamma`` carries the design's nominal agents-per-query so
-    decoder centering can be computed from the graph alone.
+    Agent ``i``'s edges are ``agent_starts[i]:agent_starts[i + 1]`` of
+    ``edge_queries`` (ascending within the segment) and ``edge_mult`` (each at
+    least 1): a CSR layout of n + 1 int64 offsets from 0 to E and two
+    E-long int64 arrays, all read-only.  ``gamma`` carries the design's
+    nominal agents-per-query so decoder centering can be computed from the
+    graph alone.
     """
 
     n_agents: int
     n_queries: int
     gamma: int
-    edge_agents: np.ndarray
+    agent_starts: np.ndarray
     edge_queries: np.ndarray
     edge_mult: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.edge_agents, self.edge_queries, self.edge_mult):
+        for arr in (self.agent_starts, self.edge_queries, self.edge_mult):
             arr.setflags(write=False)
 
     @cached_property
-    def agent_starts(self) -> np.ndarray:
-        """Offsets: agent ``i``'s edges are ``agent_starts[i]:agent_starts[i + 1]``."""
-        return _read_only(np.searchsorted(self.edge_agents, np.arange(self.n_agents + 1)))
+    def edge_agents(self) -> np.ndarray:
+        """Each edge's agent, derived from the offsets on first access."""
+        return _read_only(np.repeat(np.arange(self.n_agents), self.distinct_agent_degrees))
 
     def agent_sums(self, edge_values: np.ndarray) -> np.ndarray:
         """Per-agent int64 sums of a per-edge array, one segmented reduction.
@@ -155,11 +158,9 @@ def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
         mult = np.ones(keys.size, dtype=np.int64)
     # Agent i's keys are [i * m, (i + 1) * m): split them at the n - 1 inner multiples of m.
     inner = np.searchsorted(keys, np.arange(spec.m, spec.n * spec.m, spec.m, dtype=keys.dtype))
-    runs = np.diff(inner, prepend=0, append=keys.size)
-    agents = np.repeat(np.arange(spec.n, dtype=np.int64), runs)
-    queries = agents * -spec.m
-    queries += keys
-    return PoolingGraph(spec.n, spec.m, spec.gamma, agents, queries, mult)
+    starts = np.concatenate([[0], inner, [keys.size]])
+    queries = np.remainder(keys, spec.m, dtype=np.int64)
+    return PoolingGraph(spec.n, spec.m, spec.gamma, starts, queries, mult)
 
 
 def _key_dtype(n: int, m: int, gamma: int) -> type:
@@ -475,13 +476,11 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     header = next(it, None)
     if header is None:
         raise ValueError("empty edge-list input")
-    try:
-        n, m, gamma, family, flag = header.split()
-        n, m, gamma = int(n), int(m), int(gamma)
-    except ValueError:
-        raise ValueError(
-            f"malformed header {header!r}, expected 'n m gamma family multi'"
-        ) from None
+    fields = header.split()
+    sizes = _rows([" ".join(fields[:3])]) if len(fields) == 5 else None  # the body's integers
+    if sizes is None:
+        raise ValueError(f"malformed header {header!r}, expected 'n m gamma family multi'")
+    (n, m, gamma), (family, flag) = sizes[0].tolist(), fields[3:]
     if flag not in ("true", "false"):
         raise ValueError(f"malformed multi flag {flag!r}, expected 'true' or 'false'")
     allow_multi = flag == "true"
@@ -532,8 +531,9 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
             line = np.flatnonzero(nonblank)[np.argmax(bad)] + 2
             raise ValueError(f"line {line}: {rule}")
 
-    # The rules above make the triples canonical: they are the graph's arrays.
-    graph = PoolingGraph(n, m, gamma, agent_arr, query_arr, mult_arr)
+    # The rules above make the triples canonical: agent-major segments, split once here.
+    starts = np.searchsorted(agent_arr, np.arange(n + 1))
+    graph = PoolingGraph(n, m, gamma, starts, query_arr, mult_arr)
     # Regular families fix each query's degree; doubly regular splits m * gamma evenly over agents.
     degree_rules = []
     if family != "bernoulli":
@@ -553,6 +553,9 @@ def _rows(lines: list[str]) -> np.ndarray | None:
     """``(E, 3)`` int64 rows of non-blank ``lines``; None unless each is three int64s."""
     if not lines:  # loadtxt warns on an input without data
         return np.empty((0, 3), dtype=np.int64)
+    # loadtxt reads some non-ASCII letters as digits, so only the whitespace may be non-ASCII
+    if not all(map(str.isascii, lines)) and not all("".join(x.split()).isascii() for x in lines):
+        return None
     try:  # comments=None: '#' is a bad field; max_rows (never reached) presizes the rows
         rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2, max_rows=len(lines))
     except ValueError:

@@ -293,6 +293,8 @@ def run_sweep(
     """
     if not m_grid or not families or trials_per_point < 1:
         raise ValueError("m grid, families and trials_per_point must be non-empty/positive")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     for family, multi in families:
         if (family, multi) not in FAMILY_STREAM_IDS:
             raise ValueError(f"unknown family variant ({family!r}, multi={multi})")

@@ -23,7 +23,7 @@ def is_simple(graph: PoolingGraph) -> bool:
 
 def same_graph(a: PoolingGraph, b: PoolingGraph) -> bool:
     """True when both graphs have the same sizes, gamma and edge arrays."""
-    fields = ("n_agents", "n_queries", "gamma", "edge_agents", "edge_queries", "edge_mult")
+    fields = ("n_agents", "n_queries", "gamma", "agent_starts", "edge_queries", "edge_mult")
     return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in fields)
 
 
@@ -37,7 +37,7 @@ def graph_from_pairs(n: int, m: int, gamma: int, pairs) -> PoolingGraph:
     if ((pairs < 0) | (pairs >= (n, m))).any():
         raise ValueError("pair index out of range")
     keys, mult = np.unique(pairs[:, 0] * m + pairs[:, 1], return_counts=True)
-    return PoolingGraph(n, m, gamma, keys // m, keys % m, mult)
+    return PoolingGraph(n, m, gamma, np.searchsorted(keys, np.arange(n + 1) * m), keys % m, mult)
 
 
 def write_edge_list_reference(stream, graph: PoolingGraph, family: str, allow_multi: bool) -> None:
@@ -48,6 +48,93 @@ def write_edge_list_reference(stream, graph: PoolingGraph, family: str, allow_mu
         graph.edge_agents.tolist(), graph.edge_queries.tolist(), graph.edge_mult.tolist()
     ):
         stream.write(f"{agent} {query} {mult}\n")
+
+
+def _is_int64(field: str) -> bool:
+    """True for ASCII decimal digits with an optional sign whose value fits in int64."""
+    digits = field[1:] if field[:1] in ("+", "-") else field
+    return digits.isascii() and digits.isdigit() and -(2**63) <= int(field) < 2**63
+
+
+def read_edge_list_reference(lines):
+    """The README's edge-list rules, one line at a time in plain Python.
+
+    Returns ``(spec, triples)``, the ``(agent, query, multiplicity)`` triples
+    in file order, or raises the ValueError that ``read_edge_list`` raises:
+    the first line that is not three integers, then the first line that
+    breaks each rule in turn, then the first query and the first agent whose
+    degree is off.  Degrees are exact Python sums.
+    """
+    lines = iter(lines)
+    header = next(lines, None)
+    if header is None:
+        raise ValueError("empty edge-list input")
+    fields = header.split()
+    if len(fields) != 5 or not all(map(_is_int64, fields[:3])):
+        raise ValueError(f"malformed header {header!r}, expected 'n m gamma family multi'")
+    n, m, gamma = map(int, fields[:3])
+    family, flag = fields[3:]
+    if flag not in ("true", "false"):
+        raise ValueError(f"malformed multi flag {flag!r}, expected 'true' or 'false'")
+    spec = designs.DesignSpec(n, m, gamma, family, flag == "true")
+
+    numbered = []  # (file line, agent, query, multiplicity)
+    for number, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split()
+        # numpy's reader ends a row at either line-end character
+        if "\n" in line or "\r" in line or len(fields) != 3 or not all(map(_is_int64, fields)):
+            raise ValueError(
+                f"line {number}: expected an integer 'agent query multiplicity' triple"
+            )
+        numbered.append((number, *map(int, fields)))
+
+    rules = [
+        f"agent outside 0..{n - 1}",
+        f"query outside 0..{m - 1}",
+        "multiplicity must be at least 1",
+        "multiplicity above 1 under multi=false",
+        "repeats the line before",
+        "precedes the line before",
+    ]
+    first = {}  # rule -> the first line that breaks it
+    before = None
+    for number, agent, query, mult in numbered:
+        breaks = [
+            not 0 <= agent < n,
+            not 0 <= query < m,
+            mult < 1,
+            mult > 1 and flag == "false",
+            (agent, query) == before,
+            before is not None and (agent, query) < before,
+        ]
+        for rule, bad in zip(rules, breaks):
+            if bad:
+                first.setdefault(rule, number)
+        before = (agent, query)
+    for rule in rules:
+        if rule in first:
+            raise ValueError(f"line {first[rule]}: {rule}")
+
+    query_degree = [0] * m
+    agent_degree = [0] * n
+    for _, agent, query, mult in numbered:
+        query_degree[query] += mult
+        agent_degree[agent] += mult
+    low, extra = divmod(m * gamma, n)
+    ends = []
+    if family != "bernoulli":
+        ends.append(("query", query_degree, {gamma}, f"gamma={gamma}"))
+    if family == "doubly_regular":
+        want = f"{low} or {low + 1}" if extra else f"{low}"
+        ends.append(("agent", agent_degree, {low, low + (extra > 0)}, want))
+    for end, degrees, allowed, want in ends:
+        for index, degree in enumerate(degrees):
+            if degree not in allowed:
+                raise ValueError(f"{family} {end} {index} has degree {degree}, expected {want}")
+    return spec, [triple[1:] for triple in numbered]
 
 
 def bernoulli_dense_reference(spec, rng: np.random.Generator) -> PoolingGraph:

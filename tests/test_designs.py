@@ -21,8 +21,8 @@ from oracles import (
     uniform_subsets_reference,
     write_edge_list_reference,
 )
-from pooledsim.channel import QueryOutcomes
-from pooledsim.decoder import compute_score_vector
+from pooledsim.channel import QueryOutcomes, run_queries
+from pooledsim.decoder import compute_score_vector, decode
 from pooledsim.designs import (
     DesignSpec,
     PoolingGraph,
@@ -32,7 +32,7 @@ from pooledsim.designs import (
     write_edge_list,
 )
 from pooledsim.experiment import FAMILY_STREAM_IDS
-from pooledsim.model import ChannelMatrix
+from pooledsim.model import ChannelMatrix, FixedPrior, sample_ground_truth
 
 
 def log_choose(n, k):
@@ -682,11 +682,13 @@ WRITER_GRAPHS = {
         101, 101, 2, [(0, 0), (0, 9), (9, 10), (10, 99), (99, 100), (100, 0), (100, 100)]
     ),
     "wide-multiplicities": PoolingGraph(
-        3, 2, 1, np.array([0, 1, 2]), np.array([1, 0, 1]),
+        3, 2, 1, np.array([0, 1, 2, 3]), np.array([1, 0, 1]),
         np.array([10, np.iinfo(np.int64).max, 99]),
     ),
-    "zero-agent-and-query": PoolingGraph(1, 1, 1, np.array([0]), np.array([0]), np.array([1])),
-    "no-edges": PoolingGraph(3, 2, 1, *(np.empty(0, dtype=np.int64) for _ in range(3))),
+    "zero-agent-and-query": PoolingGraph(1, 1, 1, np.array([0, 1]), np.array([0]), np.array([1])),
+    "no-edges": PoolingGraph(
+        3, 2, 1, np.zeros(4, dtype=np.int64), *(np.empty(0, dtype=np.int64) for _ in range(2))
+    ),
 }
 
 
@@ -701,9 +703,9 @@ def test_write_edge_list_matches_reference_on_digit_edge_cases(name):
 def test_write_edge_list_crosses_a_chunk_boundary():
     # 70,000 edges: one full 65,536-edge chunk and a partial one, with queries
     # of one, two and three digits on both sides of the boundary.
-    agents, queries = np.divmod(np.arange(70_000), 1000)
+    queries = np.arange(70_000) % 1000
     mult = 1 + queries % 13
-    graph = PoolingGraph(70, 1000, 1000, agents, queries, mult)
+    graph = PoolingGraph(70, 1000, 1000, np.arange(71) * 1000, queries, mult)
     writes = []
 
     class Recorder(io.StringIO):
@@ -770,12 +772,20 @@ def test_read_edge_list_skips_blank_lines_without_warnings():
         ("2 1 2 one_sided_regular true\n0 0 1\n1 0 1 1\n", "line 3: expected an integer"),
         # Python's int() reads 1_0 as 10; the edge-list format takes ASCII digits only
         ("20 1 2 one_sided_regular true\n1_0 0 1\n", "line 2: expected an integer"),
+        # numpy's reader alone reads DEVANAGARI DIGIT TWO as 2360
+        ("3000 1 1 bernoulli false\n\u0968 0 1\n", "line 2: expected an integer"),
+        # the header's integers follow the body's rule
+        ("1_0 1 1 bernoulli false\n", "malformed header"),
+        ("\u0661\u0660 1 1 bernoulli false\n", "malformed header"),  # Arabic-Indic 10
+        (f"{10**30} 1 1 bernoulli false\n", "malformed header"),
     ],
     ids=[
         "no-multi-flag", "empty", "multi-false", "mult-zero", "duplicate", "unsorted", "dr-degree",
         "one-sided-degree", "dr-agent-degree", "dr-agent-degree-exact",
         "agent-range", "header-non-integer", "query-non-integer", "mult-non-integer",
         "int64-overflow", "comment", "two-fields", "four-fields", "underscore-digits",
+        "devanagari-digit", "header-underscore-digits", "header-arabic-indic-digits",
+        "header-int64-overflow",
     ],
 )
 def test_edge_list_rejects_malformed_header(text, message):
@@ -884,50 +894,68 @@ def test_edge_list_agent_degrees_survive_a_wrapping_running_sum():
 
 # ------------------------------------------------------------- agent offsets
 
+def generated_with_keys(spec, seed):
+    """A generated graph and its sorted distinct ``agent * m + query`` keys, drawn apart."""
+    graph = generate(spec, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    if spec.family == "bernoulli":
+        return graph, pooledsim.designs._bernoulli_keys(spec, rng)
+    members = MEMBERS_OF[spec.family](spec, rng)
+    return graph, np.unique(members * spec.m + np.arange(spec.m)[:, None])
+
+
+def listed_with_keys(n, m, gamma, pairs):
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return graph_from_pairs(n, m, gamma, pairs), np.unique(pairs[:, 0] * m + pairs[:, 1])
+
+
 # Sparse Bernoulli graphs leave agents without edges, agent 0 and agent n - 1
 # among them; the listed pairs leave agents 0, 2, 4 and 6 edgeless and repeat
 # the pair (1, 0); the DR/multi graph has multi-edges.  The edgeless graph has
 # E = 0; the last-agent graph leaves agents 1, 2 and 4 edgeless and gives
-# agent 5, the last, a multi-edge.
+# agent 5, the last, a multi-edge.  Each case also gives the keys it is built
+# from, so the oracles do not read the offsets under test.
 OFFSET_GRAPHS = {
-    "bernoulli-sparse": lambda: generate(
-        DesignSpec(n=50, m=3, gamma=1, family="bernoulli"), np.random.default_rng(4)
+    "bernoulli-sparse": lambda: generated_with_keys(
+        DesignSpec(n=50, m=3, gamma=1, family="bernoulli"), 4
     ),
-    "bernoulli-figure": lambda: generate(
-        DesignSpec(n=1000, m=30, gamma=10, family="bernoulli"), np.random.default_rng(5)
+    "bernoulli-figure": lambda: generated_with_keys(
+        DesignSpec(n=1000, m=30, gamma=10, family="bernoulli"), 5
     ),
-    "edgeless": lambda: graph_from_pairs(5, 3, 2, []),
-    "last-agent-with-edges": lambda: graph_from_pairs(
+    "edgeless": lambda: listed_with_keys(5, 3, 2, []),
+    "last-agent-with-edges": lambda: listed_with_keys(
         6, 3, 2, [(0, 1), (3, 0), (3, 2), (5, 0), (5, 2), (5, 2)]
     ),
-    "pairs-with-gaps": lambda: graph_from_pairs(
+    "pairs-with-gaps": lambda: listed_with_keys(
         7, 4, 2, [(1, 0), (1, 0), (1, 3), (3, 1), (5, 0), (5, 2), (5, 3)]
     ),
-    "doubly-regular-multi": lambda: generate(
-        DesignSpec(n=40, m=25, gamma=12, family="doubly_regular", allow_multi=True),
-        np.random.default_rng(8),
+    "doubly-regular-multi": lambda: generated_with_keys(
+        DesignSpec(n=40, m=25, gamma=12, family="doubly_regular", allow_multi=True), 8
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OFFSET_GRAPHS))
 def test_agent_offsets_match_scatter_oracles(name):
-    graph = OFFSET_GRAPHS[name]()
+    graph, keys = OFFSET_GRAPHS[name]()
     n, m = graph.n_agents, graph.n_queries
-    distinct = np.bincount(graph.edge_agents, minlength=n)
+    agents, queries = np.divmod(keys, m)
+    assert np.array_equal(graph.edge_queries, queries)
+    distinct = np.bincount(agents, minlength=n)
     if name.startswith(("bernoulli", "pairs")):
         assert distinct[0] == distinct[-1] == 0 and (distinct[1:-1] == 0).any()
     if name.endswith("multi"):
         assert (graph.edge_mult > 1).any()
     if name == "edgeless":
-        assert graph.edge_agents.size == 0
+        assert keys.size == 0
     if name == "last-agent-with-edges":
         assert distinct[-1] > 0 and (distinct[1:-1] == 0).any() and graph.edge_mult[-1] > 1
     degrees = np.zeros(n, dtype=np.int64)
-    np.add.at(degrees, graph.edge_agents, graph.edge_mult)
+    np.add.at(degrees, agents, graph.edge_mult)
     starts = np.concatenate([[0], np.cumsum(distinct)])
     for got, want in (
         (graph.agent_starts, starts),
+        (graph.edge_agents, agents),
         (graph.agent_degrees, degrees),
         (graph.distinct_agent_degrees, distinct),
     ):
@@ -936,8 +964,45 @@ def test_agent_offsets_match_scatter_oracles(name):
 
     results = np.random.default_rng(1).integers(0, 3 * graph.gamma, m)
     scores = np.zeros(n)
-    np.add.at(scores, graph.edge_agents, results[graph.edge_queries].astype(np.float64))
+    np.add.at(scores, agents, results[queries].astype(np.float64))
     # p = 0.99 keeps the threshold defined at these small m.
     vector = compute_score_vector(graph, QueryOutcomes(results), 0.99, ChannelMatrix.identity(), m)
     assert vector.scores.dtype == np.float64
     assert np.array_equal(vector.scores, scores)
+
+
+def assert_csr(graph):
+    starts = graph.agent_starts
+    assert starts.dtype == np.int64 and not starts.flags.writeable
+    assert starts.size == graph.n_agents + 1
+    assert starts[0] == 0 and starts[-1] == graph.edge_queries.size == graph.edge_mult.size
+    assert (np.diff(starts) >= 0).all()
+
+
+# (50, 3, 1) leaves most agents edgeless, the first and the last among them.
+@pytest.mark.parametrize("family, multi", sorted(FAMILY_STREAM_IDS))
+@pytest.mark.parametrize("n, m, gamma", [(1, 1, 1), (50, 3, 1), (7, 5, 3), (300, 100, 20)])
+def test_agent_offsets_are_csr(family, multi, n, m, gamma):
+    spec = DesignSpec(n, m, gamma, family, multi)
+    graph = generate(spec, np.random.default_rng(n))
+    assert_csr(graph)
+    text = "".join(edge_list_lines(write_edge_list, graph, family, multi))
+    spec_back, back = read_edge_list(io.StringIO(text))
+    assert_csr(back)
+    assert spec_back == spec and same_graph(back, graph)
+
+
+@pytest.mark.parametrize("family, multi", sorted(FAMILY_STREAM_IDS))
+def test_trial_stages_never_build_the_agent_column(family, multi):
+    # The agent column is derived on access and cached; no stage of a trial reads it.
+    spec = DesignSpec(200, 150, 20, family, multi)
+    rng = np.random.default_rng(6)
+    graph = generate(spec, rng)
+    truth = sample_ground_truth(spec.n, FixedPrior(4), rng)
+    channel = ChannelMatrix(s11=0.9, s01=0.05)
+    outcomes = run_queries(graph, truth, channel, rng)
+    vector = compute_score_vector(graph, outcomes, 0.02, channel, spec.m)
+    assert decode(vector.scores, vector.centers, vector.thresholds).size == spec.n
+    assert "edge_agents" not in vars(graph)
+    assert graph.edge_agents.size == graph.edge_queries.size
+    assert "edge_agents" in vars(graph)

@@ -292,6 +292,12 @@ def test_run_sweep_rejects_bad_family():
         run_sweep(config, [], [("bernoulli", False)], trials_per_point=2)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_sweep_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+        run_sweep(make_config(), [100], [("bernoulli", False)], trials_per_point=2, workers=workers)
+
+
 @pytest.mark.parametrize(
     "m_grid, families",
     [([100, 100], [("doubly_regular", False)]),

@@ -6,17 +6,20 @@ keeps Hypothesis from writing a ``.hypothesis/`` directory.
 """
 import io
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pooledsim.designs
 from oracles import (
     is_simple,
     naive_centers,
     naive_recovery,
     naive_scores,
     naive_thresholds,
+    read_edge_list_reference,
     same_graph,
 )
 from pooledsim.channel import run_queries
@@ -46,6 +49,117 @@ def test_edge_list_round_trip_every_variant(spec, seed):
     spec_back, graph_back = read_edge_list(io.StringIO(buf.getvalue()))
     assert spec_back == spec
     assert same_graph(graph_back, graph)
+
+
+# What the edge-list mutations insert.  Line 0 is the header, whose integers
+# must follow the body's rule.
+BLANKS = ["\n", "", "  \n", "\t\n", "\r\n", " \r\n", "\xa0\n", "\u3000\n", "\u2028\n"]
+SEPARATORS = ["\xa0", "\t", "  ", "\u2028", "\x1c", "\x0b", ",", "_", "\n", "\r"]
+TRAILS = [" ", "\xa0", "\u2028", "\r", " #", "#", " 1", ".0", "\x85"]
+FOREIGN_DIGITS = [
+    str.maketrans("0123456789", "".join(map(chr, range(start, start + 10))))
+    for start in (0x660, 0xFF10, 0x966)  # Arabic-Indic, fullwidth, Devanagari
+]
+HEADER_TAILS = [
+    "bernoulli true", "doubly_regular maybe", "one_sided_regular true", "one_sided_regular false",
+    "doubly_regular false", "doubly_regular true", "unknown false", "bernoulli TRUE",
+]
+
+
+def spelling(value: int, choice: int) -> str:
+    """One of the spellings of ``value`` that only some integer parsers read, or another value."""
+    digits = str(abs(value))
+    sign = "-" if value < 0 else ""
+    options = [
+        f"0{value}" if value >= 0 else f"-0{digits}", f"+{value}" if value >= 0 else str(value),
+        f"-{value}", f"{sign}{digits[0]}_{digits[1:] or 0}", f"{value}.0", f"{value}#", "#",
+        f"{value}e0", str(value + 2**63), str(-(2**63)),
+        *(f"{sign}{digits.translate(table)}" for table in FOREIGN_DIGITS),
+    ]
+    return options[choice % len(options)]
+
+
+def respell(line: str, field: int, spell) -> str:
+    """``line`` with its ``field``-th integer field replaced by ``spell(value)``."""
+    end = len(line) - len(line.rstrip("\r\n"))
+    fields = line[: len(line) - end].split(" ")
+    field %= min(3, len(fields))
+    try:
+        fields[field] = spell(int(fields[field]))
+    except ValueError:  # an earlier mutation made the field no integer
+        return line
+    return " ".join(fields) + line[len(line) - end :]
+
+
+def mutate(lines: list[str], kind: str, at: int, to: int, choice: int) -> list[str]:
+    """A copy of ``lines`` (with their ends) changed by one mutation, at line ``at`` or ``to``."""
+    lines = list(lines)
+    at %= len(lines)
+    to = 1 + to % len(lines)  # body positions only
+    if kind == "blank":
+        lines.insert(to, BLANKS[choice % len(BLANKS)])
+    elif kind == "crlf":
+        lines[at] = lines[at].rstrip("\n") + "\r\n"
+    elif kind == "swap" and to < len(lines):
+        lines[at], lines[to] = lines[to], lines[at]
+    elif kind == "repeat":
+        lines.insert(to, lines[at])
+    elif kind == "delete" and len(lines) > 1:
+        del lines[to % (len(lines) - 1) + 1]
+    elif kind == "bump":  # off by one: out of range, multiplicities, degrees, header sizes
+        lines[at] = respell(lines[at], choice, lambda value: str(value + (-1) ** choice))
+    elif kind in ("spell", "spell-header"):
+        at = 0 if kind == "spell-header" else at
+        lines[at] = respell(lines[at], choice, lambda value: spelling(value, choice // 3))
+    elif kind == "header":
+        tail = HEADER_TAILS[choice % len(HEADER_TAILS)]
+        lines[0] = " ".join([*lines[0].split()[:3], tail]) + "\n"
+    elif kind == "separator":
+        lines[at] = lines[at].replace(" ", SEPARATORS[choice % len(SEPARATORS)], 1)
+    elif kind == "trail":
+        text = lines[at].rstrip("\r\n")
+        lines[at] = text + TRAILS[choice % len(TRAILS)] + lines[at][len(text) :]
+    elif kind == "merge" and at + 1 < len(lines):
+        lines[at : at + 2] = [lines[at] + lines[at + 1]]
+    return lines
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    spec = draw(design_specs())
+    graph = generate(spec, np.random.default_rng(draw(st.integers(0, 2**16))))
+    buf = io.StringIO()
+    write_edge_list(buf, graph, spec.family, spec.allow_multi)
+    lines = buf.getvalue().splitlines(keepends=True)
+    kinds = ["blank", "crlf", "swap", "repeat", "delete", "bump", "spell", "spell-header", "header",
+             "separator", "trail", "merge"]
+    mutations = st.tuples(
+        st.sampled_from(kinds), st.integers(0, 63), st.integers(0, 63), st.integers(0, 399)
+    )
+    for mutation in draw(st.lists(mutations, max_size=4)):
+        lines = mutate(lines, *mutation)
+    return lines
+
+
+def parse_outcome(parse, lines):
+    """``(spec, triples)`` of an accepted edge list, or the message it is rejected with."""
+    try:
+        spec, graph = parse(iter(lines))
+    except ValueError as err:
+        return str(err)
+    if isinstance(graph, list):
+        return spec, graph
+    columns = (graph.edge_agents, graph.edge_queries, graph.edge_mult)
+    return spec, list(zip(*(col.tolist() for col in columns)))
+
+
+@settings(reproducible, max_examples=500)
+@given(lines=mutated_edge_lists(), chunk=st.integers(1, 3))
+def test_read_edge_list_matches_reference_parser(lines, chunk):
+    # Chunks of 1 to 3 lines put the mutations on chunk edges.
+    with mock.patch.object(pooledsim.designs, "_EDGE_LIST_CHUNK", chunk):
+        got = parse_outcome(read_edge_list, lines)
+    assert got == parse_outcome(read_edge_list_reference, lines)
 
 
 @reproducible
