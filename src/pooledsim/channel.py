@@ -37,8 +37,8 @@ def run_queries(
     starts, lengths = graph.agent_starts[ones], graph.distinct_agent_degrees[ones]
     # Segment i's edges are numbered from lengths[:i].sum() on; shift them to starts[i].
     edges = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    queries, weights = graph.edge_queries[edges], graph.edge_mult[edges]
-    one_reads = np.bincount(queries, weights=weights, minlength=graph.n_queries).astype(np.int64)
+    one_reads = np.zeros(graph.n_queries, dtype=np.int64)
+    np.add.at(one_reads, graph.edge_queries[edges], graph.edge_mult[edges])  # exact int64 counts
     results = _binomial(one_reads, channel.s11, rng)
     if channel.s01:  # under s01 = 0 the zero-bit reads add 0 and would draw nothing
         results += _binomial(graph.query_degrees - one_reads, channel.s01, rng)

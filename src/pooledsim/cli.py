@@ -8,6 +8,7 @@ endings and bit-exact reproducible from the arguments (including the seed).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from .experiment import (
     FAMILY_STREAM_IDS,
     TrialConfig,
     _check_seed,
+    _usable_cpus,
     run_sweep,
     run_trial_detailed,
 )
@@ -76,9 +78,7 @@ def _default_workers() -> int:
         if value < 1:
             raise ConfigError(f"{_WORKERS_ENV} must be at least 1, got {value}")
         return value
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
@@ -278,7 +278,8 @@ def parse_sweep_config(text: str) -> SweepConfig:
     """Parse the flat sweep config format; raises ConfigError with line context."""
     raw: dict[str, str] = {}
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end where a text file's do (LF, CRLF, CR), not at str.splitlines' other breaks.
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -344,15 +345,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "p": trial.resolved_p(),
     }
     output = Path(args.output)
-    # Opened before the first trial, so an unwritable output fails fast.
-    with _write_atomic(output) as stream:
-        rows = run_sweep(
-            trial, config.m_grid, config.families, config.trials_per_point, workers=workers
-        )
-        stream.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fields = {**point, **asdict(row)}
-            stream.write(",".join(_csv_field(fields[column]) for column in CSV_COLUMNS) + "\n")
     manifest = _manifest({
         "config": config.raw,
         "resolved": {
@@ -365,8 +357,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         },
         "output": output.name,
     })
-    with _write_atomic(output.with_name(output.name + ".manifest.json")) as stream:
-        stream.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    # Both are opened before the first trial, so an unwritable output fails fast, and
+    # the manifest is renamed into place first: the CSV is replaced only once it is.
+    with (
+        _write_atomic(output) as stream,
+        _write_atomic(output.with_name(output.name + ".manifest.json")) as manifest_stream,
+    ):
+        rows = run_sweep(
+            trial, config.m_grid, config.families, config.trials_per_point, workers=workers
+        )
+        manifest_stream.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        stream.write(",".join(CSV_COLUMNS) + "\n")
+        for row in rows:
+            fields = {**point, **asdict(row)}
+            stream.write(",".join(_csv_field(fields[column]) for column in CSV_COLUMNS) + "\n")
     return EXIT_OK
 
 

@@ -116,12 +116,16 @@ class PoolingGraph:
             return self.distinct_agent_degrees
         return _read_only(self.agent_sums(self.edge_mult))
 
+    def query_sums(self, edge_values: np.ndarray) -> np.ndarray:
+        """Per-query int64 sums of a per-edge array (wrapping mod 2**64 like any int64 sum)."""
+        sums = np.zeros(self.n_queries, dtype=np.int64)
+        np.add.at(sums, self.edge_queries, edge_values)
+        return sums
+
     @cached_property
     def query_degrees(self) -> np.ndarray:
         """Per-query edge counts, multiplicities included."""
-        deg = np.zeros(self.n_queries, dtype=np.int64)
-        np.add.at(deg, self.edge_queries, self.edge_mult)
-        return _read_only(deg)
+        return _read_only(self.query_sums(self.edge_mult))
 
     @cached_property
     def distinct_agent_degrees(self) -> np.ndarray:
@@ -534,6 +538,9 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     # The rules above make the triples canonical: agent-major segments, split once here.
     starts = np.searchsorted(agent_arr, np.arange(n + 1))
     graph = PoolingGraph(n, m, gamma, starts, query_arr, mult_arr)
+    # No degree passes int64 when E times the largest multiplicity does not.
+    if mult_arr.size and mult_arr.max() > np.iinfo(np.int64).max // mult_arr.size:
+        _check_degrees_fit(graph)
     # Regular families fix each query's degree; doubly regular splits m * gamma evenly over agents.
     degree_rules = []
     if family != "bernoulli":
@@ -547,6 +554,21 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
         if off.size:
             raise ValueError(f"{family} {end} {off[0]} has degree {deg[off[0]]}, expected {want}")
     return spec, graph
+
+
+def _check_degrees_fit(graph: PoolingGraph) -> None:
+    """Raise ValueError for the first query, then the first agent, whose degree passes int64.
+
+    Each degree is summed as the high and the low 32-bit halves of its
+    multiplicities, two int64 sums that cannot wrap below 2**31 edges.
+    """
+    halves = (graph.edge_mult >> 32, graph.edge_mult & 0xFFFF_FFFF)
+    for end, sums in (("query", graph.query_sums), ("agent", graph.agent_sums)):
+        high, low = map(sums, halves)
+        over = np.flatnonzero(high + (low >> 32) >= 2**31)
+        if over.size:
+            degree = (int(high[over[0]]) << 32) + int(low[over[0]])
+            raise ValueError(f"{end} {over[0]} has degree {degree}, above the int64 maximum")
 
 
 def _rows(lines: list[str]) -> np.ndarray | None:

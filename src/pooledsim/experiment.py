@@ -7,10 +7,11 @@ changing the worker count never perturbs existing trials.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -277,6 +278,19 @@ def _aggregate(
     )
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _map_trials(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """``[fn(task) for task in tasks]`` on up to ``workers`` processes, but no more than tasks."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
+
+
 def run_sweep(
     config: TrialConfig,
     m_grid: Sequence[int],
@@ -308,20 +322,12 @@ def run_sweep(
         for family, multi in families
         for index in range(trials_per_point)
     ]
-    # A pool forks all of its workers up front, so it gets no more than tasks.
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        chunksize = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(_sweep_task, config), tasks, chunksize=chunksize))
-    else:
-        results = [_sweep_task(config, task) for task in tasks]
+    results = _map_trials(partial(_sweep_task, config), tasks, workers)
 
     grouped: dict[tuple[str, bool, int], list[TrialResult]] = {}
     for (m, family, multi, _), result in zip(tasks, results):
         grouped.setdefault((family, multi, m), []).append(result)
-    rows = [
+    return [
         _aggregate(family, multi, m, grouped[(family, multi, m)])
         for family, multi, m in sorted(grouped)
     ]
-    return rows

@@ -14,6 +14,8 @@ import scipy.stats
 
 import pooledsim.designs as designs
 from pooledsim.designs import PoolingGraph, SimplificationError
+from pooledsim.experiment import TrialConfig
+from pooledsim.model import BernoulliPrior, ChannelMatrix, FixedPrior
 
 
 def is_simple(graph: PoolingGraph) -> bool:
@@ -63,7 +65,8 @@ def read_edge_list_reference(lines):
     in file order, or raises the ValueError that ``read_edge_list`` raises:
     the first line that is not three integers, then the first line that
     breaks each rule in turn, then the first query and the first agent whose
-    degree is off.  Degrees are exact Python sums.
+    degree passes int64, then the first query and the first agent whose degree
+    is off.  Degrees are exact Python sums.
     """
     lines = iter(lines)
     header = next(lines, None)
@@ -123,6 +126,10 @@ def read_edge_list_reference(lines):
     for _, agent, query, mult in numbered:
         query_degree[query] += mult
         agent_degree[agent] += mult
+    for end, degrees in (("query", query_degree), ("agent", agent_degree)):
+        for index, degree in enumerate(degrees):
+            if degree >= 2**63:
+                raise ValueError(f"{end} {index} has degree {degree}, above the int64 maximum")
     low, extra = divmod(m * gamma, n)
     ends = []
     if family != "bernoulli":
@@ -135,6 +142,107 @@ def read_edge_list_reference(lines):
             if degree not in allowed:
                 raise ValueError(f"{family} {end} {index} has degree {degree}, expected {want}")
     return spec, [triple[1:] for triple in numbered]
+
+
+def parse_sweep_config_reference(text: str):
+    """The README's sweep-config rules, one line at a time in plain Python.
+
+    Returns ``(trial, m_grid, families, trials, raw)`` as ``parse_sweep_config``
+    resolves them, or raises the ValueError whose message it raises.  A line
+    ends at LF, CRLF or CR, as a text file reads it, and ``#`` starts a
+    comment.  The first bad line wins; within a line the rules run in order:
+    no ``=``, an unknown key, a repeated key, an empty value, a value that
+    does not parse.  Then come the missing keys, the design of each family,
+    the prior, the channel and the rest of the trial configuration, and
+    ``trials``.
+    """
+    readers = {
+        "n": int, "k": int, "gamma": int, "trials": int, "seed": int,
+        "p": float, "s11": float, "s01": float, "epsilon": float, "p_for_threshold": float,
+        "m_grid": _m_grid_reference, "families": _families_reference,
+    }
+    raw, values = {}, {}
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for number, line in enumerate(lines, start=1):
+        content = line.partition("#")[0].strip()
+        if content == "":
+            continue
+        if "=" not in content:
+            raise ValueError(f"line {number}: expected 'key = value', got {line.strip()!r}")
+        key, value = (part.strip() for part in content.split("=", 1))
+        if key not in readers:
+            raise ValueError(f"line {number}: unknown key {key!r}")
+        if key in raw:
+            raise ValueError(f"line {number}: duplicate key {key!r}")
+        if value == "":
+            raise ValueError(f"line {number}: key {key!r} has no value")
+        try:
+            values[key] = readers[key](value)
+        except ValueError as err:
+            raise ValueError(f"line {number}: key {key!r}: {err}") from None
+        raw[key] = value
+
+    for key in ("n", "gamma", "epsilon", "trials", "seed", "m_grid", "families"):
+        if key not in raw:
+            raise ValueError(f"missing required key {key!r}")
+    n, gamma, m_grid, families = values["n"], values["gamma"], values["m_grid"], values["families"]
+    specs = [designs.DesignSpec(n, m_grid[0], gamma, name, multi) for name, multi in families]
+    if ("k" in values) == ("p" in values):
+        raise ValueError("exactly one of k and p must be set")
+    prior = FixedPrior(values["k"]) if "k" in values else BernoulliPrior(values["p"])
+    channel = ChannelMatrix(values.get("s11", 1.0), values.get("s01", 0.0))
+    trial = TrialConfig(
+        specs[0], prior, channel, values["epsilon"], values["seed"], values.get("p_for_threshold")
+    )
+    if values["trials"] < 1:
+        raise ValueError(f"trials must be at least 1, got {values['trials']}")
+    return trial, m_grid, families, values["trials"], raw
+
+
+def _m_grid_reference(text: str) -> list[int]:
+    """``start:stop:step`` (stop included) or a comma list; every count at least 1, none twice."""
+    if ":" in text:
+        if text.count(":") != 2:
+            raise ValueError(f"m_grid range must be start:stop:step, got {text!r}")
+        start, stop, step = (int(part) for part in text.split(":"))
+        if step < 1 or stop < start:
+            raise ValueError(f"m_grid range {text!r} is empty or has non-positive step")
+        grid = []
+        while start <= stop:
+            grid.append(start)
+            start += step
+    else:
+        grid = [int(item) for item in text.split(",") if item.strip() != ""]
+    if grid == [] or any(m < 1 for m in grid):
+        raise ValueError(f"m_grid must list at least one query count, all >= 1, got {text!r}")
+    if len(grid) != len(set(grid)):
+        raise ValueError(f"m_grid repeats a query count, got {text!r}")
+    return grid
+
+
+def _families_reference(text: str) -> list[tuple[str, bool]]:
+    """Comma-separated ``family`` or ``family/variant`` items; empty items are skipped."""
+    families = []
+    for item in text.split(","):
+        item = item.strip()
+        if item == "":
+            continue
+        name, variant = (item.split("/", 1) + [""])[:2]
+        variant = variant if variant != "" else "simple"
+        if name not in designs.FAMILIES:
+            raise ValueError(
+                f"unknown family {name!r} in families (expected one of {designs.FAMILIES})"
+            )
+        if variant not in ("simple", "multi"):
+            raise ValueError(f"family variant must be 'simple' or 'multi', got {variant!r}")
+        if name == "bernoulli" and variant == "multi":
+            raise ValueError(f"family {name!r} has no multi variant")
+        if (name, variant == "multi") in families:
+            raise ValueError(f"families repeats {name}/{variant}")
+        families.append((name, variant == "multi"))
+    if families == []:
+        raise ValueError("families must list at least one design family")
+    return families
 
 
 def bernoulli_dense_reference(spec, rng: np.random.Generator) -> PoolingGraph:

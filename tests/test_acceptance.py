@@ -6,11 +6,8 @@ see notes in the repository docs for the measured behaviour of the
 per-agent-centered decoder on those orderings.
 """
 import math
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -28,6 +25,7 @@ from pooledsim.cli import main as cli_main
 from pooledsim.decoder import required_queries
 from pooledsim.designs import DesignSpec, FAMILIES, generate
 from pooledsim.experiment import TrialConfig, run_sweep, run_trial, wilson_interval
+from pooledsim.experiment import _map_trials, _usable_cpus
 from pooledsim.model import ChannelMatrix, FixedPrior
 
 IDENT = ChannelMatrix.identity()
@@ -117,12 +115,8 @@ def soundness_failure_upper(channel, seed):
     )
     trials = 200
     # Trials are independent and seeded by index, so a pool changes no result.
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(len(os.sched_getaffinity(0)), mp_context=spawn) as pool:
-        results = pool.map(
-            run_trial, repeat(config, trials), repeat(bound_report.m_min, trials), range(trials)
-        )
-        failures = sum(not result.eps_ok for result in results)
+    trial = partial(run_trial, config, bound_report.m_min)
+    failures = sum(not run.eps_ok for run in _map_trials(trial, range(trials), _usable_cpus()))
     _, upper = wilson_interval(failures, trials)
     return bound_report.m_min, failures, upper
 

@@ -415,6 +415,22 @@ def test_sweep_fails_on_unwritable_output_before_the_first_trial(tmp_path, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 
+def test_sweep_failed_manifest_write_keeps_the_old_csv(tmp_path, capsys):
+    # A directory in the manifest's place makes its rename fail after the sweep.
+    config = SWEEP_CONFIG.replace("trials = 4", "trials = 2").replace("40,80,120", "40")
+    cfg = write_config(tmp_path, config.replace("doubly_regular/simple, bernoulli", "bernoulli"))
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old rows\n")
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    code = main(["sweep", "--config", str(cfg), "--output", str(out), "--workers", "1"])
+    assert code == 3
+    assert "pooledsim: failure:" in capsys.readouterr().err
+    assert out.read_bytes() == b"old rows\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "out.csv", "out.csv.manifest.json", "sweep.cfg"
+    ]
+
+
 # ------------------------------------------------------------- exit codes
 
 

@@ -14,6 +14,7 @@ from oracles import (
     bernoulli_dense_reference,
     graph_from_pairs,
     is_simple,
+    read_edge_list_reference,
     repair_slots_reference,
     same_graph,
     simplify,
@@ -32,7 +33,7 @@ from pooledsim.designs import (
     write_edge_list,
 )
 from pooledsim.experiment import FAMILY_STREAM_IDS
-from pooledsim.model import ChannelMatrix, FixedPrior, sample_ground_truth
+from pooledsim.model import ChannelMatrix, FixedPrior, GroundTruth, sample_ground_truth
 
 
 def log_choose(n, k):
@@ -878,6 +879,37 @@ def test_edge_list_degrees_are_exact_int64():
     assert graph.query_degrees.tolist() == [top]
     assert graph.agent_degrees.tolist() == [top]
     assert graph.distinct_agent_degrees.tolist() == [1]
+
+
+def test_one_bit_read_counts_are_exact_int64():
+    # Float64 counts would round 2**53 + 1 down to the member sum's neighbour.
+    above_2_53 = 2**53 + 1
+    _, graph = read_edge_list([f"1 1 {above_2_53} doubly_regular true", f"0 0 {above_2_53}"])
+    rng = np.random.default_rng(0)
+    outcomes = run_queries(graph, GroundTruth(np.ones(1)), ChannelMatrix.identity(), rng)
+    assert outcomes.results.tolist() == graph.query_degrees.tolist() == [above_2_53]
+
+
+TOP = 2**63 - 1
+THIRD = 6148914691236517206  # 3 * THIRD = 2**64 + 2
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # The query's degree 2**64 + 1 would read as 1 = gamma in a wrapping int64 sum.
+        (["3 1 1 one_sided_regular true", f"0 0 {TOP}", f"1 0 {TOP}", "2 0 3"],
+         f"query 0 has degree {2**64 + 1}, above the int64 maximum"),
+        # The agent's degree equals m * gamma / n, but that passes int64 (it would read as 2).
+        ([f"1 3 {THIRD} doubly_regular true", *(f"0 {q} {THIRD}" for q in range(3))],
+         f"agent 0 has degree {3 * THIRD}, above the int64 maximum"),
+    ],
+    ids=["query", "agent"],
+)
+def test_edge_list_rejects_degrees_beyond_int64_like_the_reference(lines, message):
+    for parse in (read_edge_list, read_edge_list_reference):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse(lines)
 
 
 def test_edge_list_agent_degrees_survive_a_wrapping_running_sum():

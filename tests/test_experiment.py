@@ -84,6 +84,12 @@ def test_wilson_interval_rejects_successes_outside_the_trials(successes, trials)
         wilson_interval(successes, trials)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_wilson_interval_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="^trials must be positive$"):
+        wilson_interval(0, trials)
+
+
 def test_wilson_interval_narrows_with_trials():
     low1, high1 = wilson_interval(5, 10)
     low2, high2 = wilson_interval(50, 100)

@@ -50,6 +50,20 @@ def test_sample_rejects_bad_arguments():
         sample_ground_truth(0, FixedPrior(0), rng)
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: FixedPrior(k=-1), ValueError, "fixed one-count must be non-negative, got -1"),
+        (lambda: sample_ground_truth(3, 0.5, np.random.default_rng(0)), TypeError,
+         "unsupported prior: 0.5"),
+    ],
+    ids=["negative-k", "unsupported-prior"],
+)
+def test_prior_input_checks(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
 def hamming_of(a, b):
     return eps_recovery(GroundTruth(np.asarray(a)), b, epsilon=0.5).hamming
 

@@ -19,10 +19,12 @@ from oracles import (
     naive_recovery,
     naive_scores,
     naive_thresholds,
+    parse_sweep_config_reference,
     read_edge_list_reference,
     same_graph,
 )
 from pooledsim.channel import run_queries
+from pooledsim.cli import ConfigError, parse_sweep_config
 from pooledsim.decoder import compute_score_vector, decode, rate_constant
 from pooledsim.designs import DesignSpec, generate, read_edge_list, write_edge_list
 from pooledsim.experiment import FAMILY_STREAM_IDS
@@ -160,6 +162,87 @@ def test_read_edge_list_matches_reference_parser(lines, chunk):
     with mock.patch.object(pooledsim.designs, "_EDGE_LIST_CHUNK", chunk):
         got = parse_outcome(read_edge_list, lines)
     assert got == parse_outcome(read_edge_list_reference, lines)
+
+
+# What the sweep-config mutations insert or set.
+CONFIG_LINES = [
+    "bogus = 1", "K = 3", "m grid = 50", " = 5", "n", "n 60", "# a comment", "#n = 5", "", " \t",
+    "p = 0.05", "k = 3", "s01 = 0.1", "p_for_threshold = 0.2", "trials =", "seed = # none",
+]
+CONFIG_VALUES = [
+    "0", "-1", "nan", "inf", "1e3", "abc", "0.5", "2", "1_0", str(2**64), "7", "100", "# x"
+]
+GRID_PIECES = [
+    "0", "1", "20", "40", "-5", "a", ":", ",", " ", "1_0", "+7", "20,20", "9:3:1", "5:50:0"
+]
+FAMILY_ITEMS = [
+    "bernoulli", "bernoulli/multi", "bernoulli/", "doubly_regular", "doubly_regular/simple",
+    "doubly_regular/multi", "one_sided_regular/multi", "one_sided_regular/x", "bogus", "", " ",
+    "a/b/c", "doubly_regular / multi",
+]
+CONFIG_BREAKS = ["\x0c", "\x0b", "\x85", "\u2028", "\x1c", "\r", "\r\n", "#", "="]
+
+
+def mutate_config(lines: list[str], kind: str, at: int, choice: int) -> list[str]:
+    """A copy of the config ``lines`` changed by one mutation at line ``at``."""
+    lines = list(lines)
+    at %= len(lines) or 1
+    if kind == "insert":
+        lines.insert(at, CONFIG_LINES[choice % len(CONFIG_LINES)])
+    elif kind == "repeat" and lines:
+        lines.insert(choice % len(lines), lines[at])
+    elif kind == "delete" and lines:
+        del lines[at]
+    elif kind == "comment" and lines:
+        lines[at] = f"# {lines[at]}" if choice % 2 else f"{lines[at]}  # note"
+    elif kind == "value" and lines:
+        lines[at] = f"{lines[at].partition('=')[0]}= {CONFIG_VALUES[choice % len(CONFIG_VALUES)]}"
+    elif kind == "break" and lines:
+        cut = choice % (len(lines[at]) + 1)
+        lines[at] = lines[at][:cut] + CONFIG_BREAKS[choice % len(CONFIG_BREAKS)] + lines[at][cut:]
+    elif kind in ("m_grid", "families"):
+        pieces, count = (GRID_PIECES, 5) if kind == "m_grid" else (FAMILY_ITEMS, 3)
+        items = [pieces[(choice >> (4 * i)) % len(pieces)] for i in range(1 + choice % count)]
+        line = f"{kind} = " + ("".join(items) if kind == "m_grid" else ",".join(items))
+        lines = [line if old.startswith(kind) else old for old in lines]
+    return lines
+
+
+@st.composite
+def sweep_config_texts(draw):
+    n = draw(st.integers(2, 40))
+    grid = draw(st.sampled_from(["20:60:20", "20,40", "30", "10:10:5"]))
+    families = draw(st.sampled_from(
+        ["doubly_regular/simple, bernoulli", "one_sided_regular/multi", "doubly_regular/multi"]
+    ))
+    prior = draw(st.sampled_from([f"k = {draw(st.integers(1, n - 1))}", "p = 0.1"]))
+    lines = [
+        f"n = {n}", f"gamma = {draw(st.integers(1, n))}", prior, "epsilon = 0.25",
+        f"trials = {draw(st.integers(1, 5))}", f"seed = {draw(st.integers(0, 2**64 - 1))}",
+        f"m_grid = {grid}", f"families = {families}",
+    ]
+    lines = draw(st.permutations(lines))
+    kinds = ["insert", "repeat", "delete", "comment", "value", "break", *["m_grid", "families"] * 2]
+    mutations = st.tuples(st.sampled_from(kinds), st.integers(0, 63), st.integers(0, 2**20))
+    for mutation in draw(st.lists(mutations, min_size=1, max_size=4)):
+        lines = mutate_config(lines, *mutation)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(reproducible, max_examples=500)
+@given(text=sweep_config_texts())
+def test_parse_sweep_config_matches_reference_parser(text):
+    # The parser must raise ConfigError; any other exception fails the test.
+    try:
+        config = parse_sweep_config(text)
+        got = config.trial, config.m_grid, config.families, config.trials_per_point, config.raw
+    except ConfigError as err:
+        got = str(err)
+    try:
+        expected = parse_sweep_config_reference(text)
+    except ValueError as err:
+        expected = str(err)
+    assert got == expected
 
 
 @reproducible
