@@ -33,10 +33,7 @@ def run_queries(
     """
     if truth.n != graph.n_agents:
         raise ValueError(f"truth has {truth.n} agents but graph has {graph.n_agents}")
-    ones = np.flatnonzero(truth.bits)
-    starts, lengths = graph.agent_starts[ones], graph.distinct_agent_degrees[ones]
-    # Segment i's edges are numbered from lengths[:i].sum() on; shift them to starts[i].
-    edges = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    edges = graph.agent_edges(np.flatnonzero(truth.bits))
     one_reads = np.zeros(graph.n_queries, dtype=np.int64)
     np.add.at(one_reads, graph.edge_queries[edges], graph.edge_mult[edges])  # exact int64 counts
     results = _binomial(one_reads, channel.s11, rng)

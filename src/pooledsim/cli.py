@@ -245,8 +245,8 @@ def _parse_families(text: str) -> list[tuple[str, bool]]:
         item = item.strip()
         if not item:
             continue
-        name, _, variant = item.partition("/")
-        variant = variant or "simple"
+        name, slash, variant = item.partition("/")
+        name, variant = name.strip(), variant.strip() if slash else "simple"
         if name not in FAMILIES:
             raise ConfigError(f"unknown family {name!r} in families (expected one of {FAMILIES})")
         if variant not in ("simple", "multi"):

@@ -94,26 +94,28 @@ class PoolingGraph:
         """Each edge's agent, derived from the offsets on first access."""
         return _read_only(np.repeat(np.arange(self.n_agents), self.distinct_agent_degrees))
 
+    def agent_edges(self, agents: np.ndarray) -> np.ndarray:
+        """Edge indices of the given agents' segments, one segment after another."""
+        starts, lengths = self.agent_starts[agents], self.distinct_agent_degrees[agents]
+        # Segment i's edges are numbered from lengths[:i].sum() on; shift them to starts[i].
+        return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
     def agent_sums(self, edge_values: np.ndarray) -> np.ndarray:
         """Per-agent int64 sums of a per-edge array, one segmented reduction.
 
-        ``np.add.reduceat`` sums each agent's segment (wrapping mod 2**64 like
-        any int64 sum).  It cannot start a segment at E, so the trailing
-        edgeless agents are cut off, and it returns the first value of the
-        next segment for an empty one, so the other edgeless agents are zeroed.
+        ``np.add.reduceat`` sums each segment (wrapping mod 2**64 like any
+        int64 sum) over the starts of the agents that have edges: those starts
+        delimit their segments exactly, and the edgeless agents sum to 0.
         """
-        starts = self.agent_starts[:-1]
-        kept = int(np.searchsorted(starts, edge_values.size))
+        has_edges = self.distinct_agent_degrees > 0
+        starts = self.agent_starts[:-1][has_edges]
         sums = np.zeros(self.n_agents, dtype=np.int64)
-        sums[:kept] = np.add.reduceat(edge_values, starts[:kept], dtype=np.int64)
-        sums[self.distinct_agent_degrees == 0] = 0
+        sums[has_edges] = np.add.reduceat(edge_values, starts, dtype=np.int64)
         return sums
 
     @cached_property
     def agent_degrees(self) -> np.ndarray:
         """Per-agent edge counts, multiplicities included."""
-        if (self.edge_mult == 1).all():
-            return self.distinct_agent_degrees
         return _read_only(self.agent_sums(self.edge_mult))
 
     def query_sums(self, edge_values: np.ndarray) -> np.ndarray:

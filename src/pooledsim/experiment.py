@@ -10,7 +10,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -250,23 +249,19 @@ def run_trial(config: TrialConfig, m: int, trial_index: int) -> TrialResult:
     return run_trial_detailed(config, m, trial_index).result
 
 
-def _sweep_task(config: TrialConfig, task: tuple[int, str, bool, int]) -> TrialResult:
-    m, family, multi, trial_index = task
-    pointed = replace(config, design=replace(config.design, family=family, allow_multi=multi))
-    return run_trial(pointed, m, trial_index)
+def _sweep_task(task: tuple[TrialConfig, int, int]) -> TrialResult:
+    return run_trial(*task)
 
 
-def _aggregate(
-    family: str, multi: bool, m: int, results: Sequence[TrialResult]
-) -> AggregateRow:
+def _aggregate(design: DesignSpec, m: int, results: Sequence[TrialResult]) -> AggregateRow:
     trials = len(results)
     successes = sum(1 for r in results if r.success90)
     failures = sum(1 for r in results if r.failure is not None)
     ci_low, ci_high = wilson_interval(successes, trials)
     mean_overlap = float(np.mean([r.overlap for r in results]))
     return AggregateRow(
-        family=family,
-        multi=multi,
+        family=design.family,
+        multi=design.allow_multi,
         m=m,
         trials=trials,
         successes=successes,
@@ -314,20 +309,18 @@ def run_sweep(
             raise ValueError(f"unknown family variant ({family!r}, multi={multi})")
     if len(set(m_grid)) < len(m_grid) or len(set(families)) < len(families):
         raise ValueError("m grid and families must not repeat a sweep point")
-    # The largest m go out first: their trials take longest, so a worker
-    # that draws them last would finish alone.
-    tasks = [
-        (m, family, multi, index)
-        for m in sorted(m_grid, reverse=True)
+    configs = [
+        replace(config, design=replace(config.design, family=family, allow_multi=multi))
         for family, multi in families
-        for index in range(trials_per_point)
     ]
-    results = _map_trials(partial(_sweep_task, config), tasks, workers)
-
-    grouped: dict[tuple[str, bool, int], list[TrialResult]] = {}
-    for (m, family, multi, _), result in zip(tasks, results):
-        grouped.setdefault((family, multi, m), []).append(result)
-    return [
-        _aggregate(family, multi, m, grouped[(family, multi, m)])
-        for family, multi, m in sorted(grouped)
+    # The largest m go out first: their trials take longest, so a worker
+    # that draws them last would finish alone.  Each point's trials are one
+    # contiguous block of tasks.
+    points = [(m, pointed) for m in sorted(m_grid, reverse=True) for pointed in configs]
+    tasks = [(pointed, m, index) for m, pointed in points for index in range(trials_per_point)]
+    results = _map_trials(_sweep_task, tasks, workers)
+    rows = [
+        _aggregate(pointed.design, m, results[i : i + trials_per_point])
+        for (m, pointed), i in zip(points, range(0, len(tasks), trials_per_point))
     ]
+    return sorted(rows, key=lambda row: (row.family, row.multi, row.m))

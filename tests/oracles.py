@@ -221,14 +221,20 @@ def _m_grid_reference(text: str) -> list[int]:
 
 
 def _families_reference(text: str) -> list[tuple[str, bool]]:
-    """Comma-separated ``family`` or ``family/variant`` items; empty items are skipped."""
+    """Comma-separated ``family`` or ``family/variant`` items; empty items are skipped.
+
+    Blanks around an item and around its ``/`` are ignored; a ``/`` must be
+    followed by a variant.
+    """
     families = []
     for item in text.split(","):
         item = item.strip()
         if item == "":
             continue
-        name, variant = (item.split("/", 1) + [""])[:2]
-        variant = variant if variant != "" else "simple"
+        if "/" in item:
+            name, variant = (part.strip() for part in item.split("/", 1))
+        else:
+            name, variant = item, "simple"
         if name not in designs.FAMILIES:
             raise ValueError(
                 f"unknown family {name!r} in families (expected one of {designs.FAMILIES})"
@@ -436,18 +442,32 @@ def stratified_hypergeometric_chi2(
     """Chi-square p-value of samples against per-stratum hypergeometric laws.
 
     ``draws_for_stratum`` maps a stratum label to the number of draws; within
-    each stratum the law is Hypergeom(population, positives, draws).  Cells
-    with small expected counts are pooled into their neighbours.  Degrees of
-    freedom: (cells - 1) summed over strata.
+    each stratum the law is Hypergeom(population, positives, draws).  See
+    :func:`stratified_chi2`.
+    """
+
+    def pmf_for_stratum(label):
+        draws = draws_for_stratum(label)
+        return scipy.stats.hypergeom.pmf(np.arange(draws + 1), population, positives, draws)
+
+    return stratified_chi2(x_values, strata, pmf_for_stratum, min_expected)
+
+
+def stratified_chi2(
+    x_values: np.ndarray, strata: np.ndarray, pmf_for_stratum, min_expected: float = 5.0
+) -> float:
+    """Chi-square p-value of samples against a law per stratum.
+
+    ``pmf_for_stratum`` maps a stratum label to its law's pmf on 0, 1, ....
+    Cells with small expected counts are pooled into their neighbours.
+    Degrees of freedom: (cells - 1) summed over strata.
     """
     total_stat = 0.0
     total_dof = 0
     for label in np.unique(strata):
         sample = x_values[strata == label]
-        draws = draws_for_stratum(label)
-        support = np.arange(0, draws + 1)
-        pmf = scipy.stats.hypergeom.pmf(support, population, positives, draws)
-        observed = np.bincount(sample, minlength=draws + 1).astype(float)
+        pmf = pmf_for_stratum(label)
+        observed = np.bincount(sample, minlength=pmf.size).astype(float)
         expected = pmf * sample.size
         if observed.size > expected.size:
             # observations beyond the law's support: keep them, with ~zero

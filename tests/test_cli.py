@@ -272,6 +272,12 @@ def test_parse_sweep_config_family_variants():
         )
 
 
+@pytest.mark.parametrize("item", ["doubly_regular / multi", "doubly_regular /multi"])
+def test_parse_sweep_config_family_items_ignore_blanks_around_the_slash(item):
+    config = parse_sweep_config(SWEEP_CONFIG.replace("doubly_regular/simple, bernoulli", item))
+    assert config.families == [("doubly_regular", True)]
+
+
 def test_parse_sweep_config_line_numbers_in_errors():
     broken = "n = 60\nnope\n"
     with pytest.raises(ConfigError, match="line 2"):
@@ -288,6 +294,10 @@ def test_parse_sweep_config_line_numbers_in_errors():
         ("40,80,120", "40,abc", r"line 10: key 'm_grid': invalid literal for int\(\)"),
         ("bernoulli\n", "nope\n", "line 11: key 'families': unknown family 'nope'"),
         ("bernoulli\n", "bernoulli/dense\n", "variant must be 'simple' or 'multi'"),
+        ("bernoulli\n", "bernoulli/\n", "line 11: key 'families': family variant must be "
+         "'simple' or 'multi', got ''$"),
+        ("doubly_regular/simple, bernoulli", "doubly_regular/", "line 11: key 'families': "
+         "family variant must be 'simple' or 'multi', got ''$"),
         ("doubly_regular/simple, bernoulli", ",", "at least one design family"),
         ("gamma = 6", "gamma =", "line 4: key 'gamma' has no value"),
         ("gamma = 6", "gamma = six", "line 4: key 'gamma': invalid literal for int"),
@@ -301,7 +311,8 @@ def test_parse_sweep_config_line_numbers_in_errors():
     ],
     ids=[
         "range-shape", "range-empty", "range-step", "grid-empty", "grid-non-integer",
-        "unknown-family", "bad-variant", "families-empty", "empty-value", "int-non-numeric",
+        "unknown-family", "bad-variant", "empty-variant", "empty-variant-after-family",
+        "families-empty", "empty-value", "int-non-numeric",
         "float-non-numeric", "prior-rejected", "zero-trials", "grid-zero", "range-from-zero",
         "grid-repeat", "families-repeat",
     ],

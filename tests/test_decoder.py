@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from oracles import (
     expected_score,
@@ -10,6 +11,7 @@ from oracles import (
     naive_noiseless_results,
     naive_scores,
     regenerated_score_samples,
+    stratified_chi2,
     stratified_hypergeometric_chi2,
 )
 from pooledsim.channel import QueryOutcomes, run_queries
@@ -396,34 +398,73 @@ def test_score_law_matches_hypergeometric_once():
     assert pvalue > 0.01
 
 
-def test_score_law_through_the_package_matches_hypergeometric():
-    # Criterion 4's held-out agent-0 statistic, built by generate, run_queries
-    # and compute_score_vector from one design seed per sample and one truth.
-    # Every agent has degree m * gamma / n = 2.  Scores do not depend on p;
-    # p = 0.05 keeps the threshold defined at m = 10, where p = k / n does not.
-    n, m, gamma, k, degree = 30, 10, 6, 8, 2
-    bits = np.zeros(n, dtype=np.int8)
-    bits[np.random.default_rng(515).choice(n, size=k, replace=False)] = 1
+# Criterion 4's setting: DR/multi, n=30, m=10, gamma=6, every agent of
+# degree m * gamma / n = 2, and one truth with k=8 one-bits.
+LAW_N, LAW_M, LAW_GAMMA, LAW_K, LAW_DEGREE = 30, 10, 6, 8, 2
+
+
+def package_score_samples(channel, p, samples=2 * 10**4):
+    """Agent 0's score and distinct degree (its stratum), one design seed per sample.
+
+    Each sample runs generate, run_queries and compute_score_vector.  Scores
+    do not depend on p; it only has to keep the threshold defined at m = 10.
+    """
+    bits = np.zeros(LAW_N, dtype=np.int8)
+    bits[np.random.default_rng(515).choice(LAW_N, size=LAW_K, replace=False)] = 1
     truth = GroundTruth(bits)
-    spec = DesignSpec(n=n, m=m, gamma=gamma, family="doubly_regular", allow_multi=True)
-    samples = 2 * 10**4
+    spec = DesignSpec(LAW_N, LAW_M, LAW_GAMMA, family="doubly_regular", allow_multi=True)
     x_values = np.empty(samples, dtype=np.int64)
     strata = np.empty(samples, dtype=np.int64)
     for seed in range(samples):
         rng = np.random.default_rng([515, seed])
         graph = generate(spec, rng)
-        outcomes = run_queries(graph, truth, IDENT, rng)
-        x_values[seed] = compute_score_vector(graph, outcomes, 0.05, IDENT, m).scores[0]
+        outcomes = run_queries(graph, truth, channel, rng)
+        x_values[seed] = compute_score_vector(graph, outcomes, p, channel, LAW_M).scores[0]
         strata[seed] = graph.distinct_agent_degrees[0]
-    x_values -= degree * int(bits[0])
+    return x_values, strata, int(bits[0])
+
+
+def test_score_law_through_the_package_matches_hypergeometric():
+    # Criterion 4's held-out agent-0 statistic.  p = 0.05 keeps the threshold
+    # defined at m = 10, where p = k / n does not.
+    x_values, strata, own_bit = package_score_samples(IDENT, 0.05)
+    x_values -= LAW_DEGREE * own_bit
     pvalue = stratified_hypergeometric_chi2(
         x_values,
         strata,
-        population=degree * (n - 1),
-        positives=degree * (k - int(bits[0])),
-        draws_for_stratum=lambda d: int(gamma * d - degree),
+        population=LAW_DEGREE * (LAW_N - 1),
+        positives=LAW_DEGREE * (LAW_K - own_bit),
+        draws_for_stratum=lambda d: int(LAW_GAMMA * d - LAW_DEGREE),
     )
     assert pvalue > 0.01
+
+
+def test_score_law_through_the_package_under_a_noisy_channel():
+    # Agent 0's d distinct queries hold gamma * d reads: its own 2 * b0
+    # one-reads, and H ~ Hypergeom(2(n - 1), 2(k - b0), gamma * d - 2) more.
+    # Each one-read returns 1 with probability s11, each zero-read with s01,
+    # so the score is Bin(H + 2 b0, s11) + Bin(gamma * d - H - 2 b0, s01).
+    # Under this channel the threshold at m = 10 is defined only for p >= 0.94.
+    channel = ChannelMatrix(s11=0.7, s01=0.2)
+    x_values, strata, own_bit = package_score_samples(channel, 0.95)
+    own = LAW_DEGREE * own_bit
+
+    def pmf_for_stratum(d):
+        reads = int(LAW_GAMMA * d)
+        draws = reads - LAW_DEGREE
+        others = scipy.stats.hypergeom.pmf(
+            np.arange(draws + 1), LAW_DEGREE * (LAW_N - 1), LAW_DEGREE * (LAW_K - own_bit), draws
+        )
+        pmf = np.zeros(reads + 1)
+        for h, weight in enumerate(others):
+            ones = h + own
+            pmf += weight * np.convolve(
+                scipy.stats.binom.pmf(np.arange(ones + 1), ones, channel.s11),
+                scipy.stats.binom.pmf(np.arange(reads - ones + 1), reads - ones, channel.s01),
+            )
+        return pmf
+
+    assert stratified_chi2(x_values, strata, pmf_for_stratum) > 0.01
 
 
 def test_expected_score_identity_over_regenerated_graphs():
