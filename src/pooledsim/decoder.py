@@ -105,11 +105,12 @@ def threshold_fraction(rate: float, m: int, p: float) -> float:
 def decode(scores: np.ndarray, centers: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Classify agents: one iff the centered score strictly exceeds the threshold.
 
-    Ties decode to zero.
+    Ties decode to zero.  The three inputs must be one-dimensional and of equal length.
     """
-    scores = np.asarray(scores)
-    centers = np.asarray(centers)
-    thresholds = np.asarray(thresholds)
+    scores, centers, thresholds = map(np.asarray, (scores, centers, thresholds))
+    for name, arr in zip(("scores", "centers", "thresholds"), (scores, centers, thresholds)):
+        if arr.ndim != 1:
+            raise ValueError(f"{name} must be a one-dimensional vector, got shape {arr.shape}")
     if not scores.size == centers.size == thresholds.size:
         raise ValueError("scores, centers and thresholds must have equal length")
     return (scores - centers > thresholds).astype(np.int8)

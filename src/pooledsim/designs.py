@@ -16,6 +16,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .model import _check_int
+
 __all__ = [
     "FAMILIES",
     "DesignSpec",
@@ -42,7 +44,7 @@ class DesignSpec:
     """Parameters of a pooling design.
 
     gamma is the number of agents per query (exact for the regular families,
-    expected for Bernoulli).
+    expected for Bernoulli).  Sizes are stored as Python ints, allow_multi as a bool.
     """
 
     n: int
@@ -54,9 +56,14 @@ class DesignSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown design family {self.family!r}, expected one of {FAMILIES}")
-        for name, value in (("n", self.n), ("m", self.m), ("gamma", self.gamma)):
+        for name in ("n", "m", "gamma"):
+            value = _check_int(getattr(self, name), f"design parameter {name}")
             if value < 1:
                 raise ValueError(f"design parameter {name} must be at least 1, got {value}")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.allow_multi, (bool, np.bool_)):
+            raise ValueError(f"allow_multi must be a bool, got {self.allow_multi!r}")
+        object.__setattr__(self, "allow_multi", bool(self.allow_multi))
         if self.family == "bernoulli" and self.allow_multi:
             raise ValueError("bernoulli designs are simple by construction")
         if (self.family == "bernoulli" or not self.allow_multi) and self.gamma > self.n:
@@ -285,44 +292,31 @@ def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.nd
     return members
 
 
-def _pair_counts(index: tuple[np.ndarray, ...], keys: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Multiplicity of each ``query * n + agent`` key in the overlay ``index``.
+def _clashes(values: np.ndarray, index: tuple[np.ndarray, ...] = ()) -> np.ndarray:
+    """Mask of the entries of ``values`` that repeat in it or that the overlay ``index`` holds.
 
     ``index`` is three sorted arrays ``(base, added, removed)``; a key counts
     once per copy in ``base`` and ``added`` and minus once per copy in
-    ``removed``.  ``order`` is ``np.argsort(keys)``: the keys are probed in
-    sorted order, which keeps ``searchsorted`` cache-friendly.  An empty
-    ``added`` or ``removed``, as right after a fold, is not searched.
+    ``removed``.  ``added`` and ``removed`` always have equal sizes: each
+    applied swap appends two made and two broken pairs, and a fold empties both.
     """
-    probes = keys[order]
-    base, added, removed = index
-    found = np.searchsorted(base, probes, side="right") - np.searchsorted(base, probes)
-    if added.size:
-        found += np.searchsorted(added, probes, side="right") - np.searchsorted(added, probes)
-    if removed.size:
-        found -= np.searchsorted(removed, probes, side="right") - np.searchsorted(removed, probes)
-    counts = np.empty(keys.size, dtype=np.int64)
-    counts[order] = found
-    return counts
-
-
-def _repeated(values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the entries of ``values`` that occur more than once in it.
-
-    ``order`` is ``np.argsort(values)`` when the caller already has it.
-    """
-    if order is None:
-        order = np.argsort(values)
+    order = np.argsort(values)
     ordered = values[order]
     equal = np.concatenate([[False], ordered[1:] == ordered[:-1], [False]])  # to the left neighbour
+    clash = equal[1:] | equal[:-1]
+    if index:
+        base, added, removed = index
+        found = np.searchsorted(base, ordered, "right") - np.searchsorted(base, ordered)
+        if added.size:
+            found += np.searchsorted(added, ordered, "right") - np.searchsorted(added, ordered)
+            found -= np.searchsorted(removed, ordered, "right") - np.searchsorted(removed, ordered)
+        clash |= found > 0
     mask = np.empty(values.size, dtype=bool)
-    mask[order] = equal[1:] | equal[:-1]
+    mask[order] = clash
     return mask
 
 
-def _repair_slots(
-    members: np.ndarray, n_agents: int, rng: np.random.Generator
-) -> np.ndarray:
+def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) -> np.ndarray:
     """Remove multi-edges from an ``(m, gamma)`` member matrix, in place; returns it.
 
     Each surplus copy (u, a) and a uniformly random slot (v, b) are rewired to
@@ -334,7 +328,7 @@ def _repair_slots(
     ``i`` is query ``i // gamma``.  Surplus copies are the repeats of an agent
     within a row after the first in slot order, and they are repaired in
     ``(agent * m + query, slot)`` order.  Pairs are counted in an overlay (see
-    :func:`_pair_counts`) that each batch's swaps extend, and whose base is
+    :func:`_clashes`) that each batch's swaps extend, and whose base is
     rebuilt from ``members`` once it passes ``_MAX_OVERLAY_FRACTION`` of it.
     The pair keys (``query * n + agent`` in the overlay, ``agent * m + query``
     for the repair order, ``agent * gamma + column`` for the row sort) are
@@ -387,9 +381,7 @@ def _repair_slots(
 
     while pending.size:
         if attempts >= budget:
-            raise SimplificationError(
-                f"no simple graph reached within {budget} attempted swaps"
-            )
+            raise SimplificationError(f"no simple graph reached within {budget} attempted swaps")
         attempts += pending.size
         partners = rng.integers(0, total, size=pending.size)
         u = agents[pending]
@@ -397,16 +389,11 @@ def _repair_slots(
         v = agents[partners]
         b = partners // gamma
 
-        # A swap is blocked when a new pair (u, b) or (v, a) already exists,
-        # when it shares a slot with another swap of the batch, or when it
-        # creates the same new pair as another swap.  With u == v or a == b a
-        # new pair is the pending pair itself, which exists.
+        # A swap is blocked when a new pair (u, b) or (v, a) already exists or is
+        # made by another swap too, or when it shares a slot with another swap.
+        # With u == v or a == b a new pair is the pending pair itself, which exists.
         probes = np.concatenate([b * n + u, a * n + v]).astype(key, copy=False)
-        slots = np.concatenate([pending, partners])
-        order = np.argsort(probes)
-        blocked = (
-            (_pair_counts(overlay, probes, order) > 0) | _repeated(slots) | _repeated(probes, order)
-        )
+        blocked = _clashes(probes, overlay) | _clashes(np.concatenate([pending, partners]))
         ok = ~blocked.reshape(2, -1).any(axis=0)
 
         applied = np.flatnonzero(ok)

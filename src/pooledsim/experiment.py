@@ -29,6 +29,7 @@ from .model import (
     GroundTruth,
     Prior,
     _check_epsilon,
+    _check_int,
     eps_recovery,
     sample_ground_truth,
 )
@@ -78,8 +79,8 @@ def derive_seed(base: int, indices: Iterable[int] = ()) -> int:
     The splitmix64 finalizer is applied to the base, then re-applied after
     xoring in each salted index left-to-right.  Distinct index tuples yield
     distinct streams with overwhelming probability.  The base and every index
-    must lie in [0, 2**64), else ValueError: the mix reads them mod 2**64, so
-    a value outside would alias one inside.
+    must be integers in [0, 2**64), else ValueError: the mix reads them mod
+    2**64, so a value outside would alias one inside.
     """
     state = _mix64(_check_seed(base))
     for index in indices:
@@ -88,7 +89,8 @@ def derive_seed(base: int, indices: Iterable[int] = ()) -> int:
 
 
 def _check_seed(seed: int, name: str = "seed") -> int:
-    """Return ``seed``; raise ValueError, naming it ``name``, unless it lies in [0, 2**64)."""
+    """``seed`` as a Python int; ValueError, naming it ``name``, unless an integer in [0, 2**64)."""
+    seed = _check_int(seed, name)
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed
@@ -213,14 +215,14 @@ def run_trial_detailed(config: TrialConfig, m: int, trial_index: int) -> TrialDe
     """One full pipeline run: truth, graph, queries, scores, decode, metrics."""
     design = replace(config.design, m=m)
     stream_id = FAMILY_STREAM_IDS[(design.family, design.allow_multi)]
-    seed = derive_seed(config.base_seed, [m, stream_id, trial_index])
+    seed = derive_seed(config.base_seed, [design.m, stream_id, trial_index])
     rng = np.random.default_rng(seed)
     truth = sample_ground_truth(design.n, config.prior, rng)
     p = config.resolved_p()
     # The threshold depends on (n, p, channel, m) alone: check it before
     # paying for the design and the queries.
     try:
-        threshold_fraction(rate_constant(design.n, p, config.channel), m, p)
+        threshold_fraction(rate_constant(design.n, p, config.channel), design.m, p)
     except ThresholdUndefinedError:
         return _failed_trial(design, truth, seed, "threshold_undefined")
     try:
@@ -228,11 +230,11 @@ def run_trial_detailed(config: TrialConfig, m: int, trial_index: int) -> TrialDe
     except SimplificationError:
         return _failed_trial(design, truth, seed, "simplification_failed")
     outcomes = run_queries(graph, truth, config.channel, rng)
-    vector = compute_score_vector(graph, outcomes, p, config.channel, m)
+    vector = compute_score_vector(graph, outcomes, p, config.channel, design.m)
     estimate = decode(vector.scores, vector.centers, vector.thresholds)
     report = eps_recovery(truth, estimate, config.epsilon)
     result = TrialResult(
-        m=m,
+        m=design.m,
         family=design.family,
         multi=design.allow_multi,
         success90=report.overlap > 0.9,
@@ -253,7 +255,7 @@ def _sweep_task(task: tuple[TrialConfig, int, int]) -> TrialResult:
     return run_trial(*task)
 
 
-def _aggregate(design: DesignSpec, m: int, results: Sequence[TrialResult]) -> AggregateRow:
+def _aggregate(design: DesignSpec, results: Sequence[TrialResult]) -> AggregateRow:
     trials = len(results)
     successes = sum(1 for r in results if r.success90)
     failures = sum(1 for r in results if r.failure is not None)
@@ -262,7 +264,7 @@ def _aggregate(design: DesignSpec, m: int, results: Sequence[TrialResult]) -> Ag
     return AggregateRow(
         family=design.family,
         multi=design.allow_multi,
-        m=m,
+        m=design.m,
         trials=trials,
         successes=successes,
         success_rate=successes / trials,
@@ -300,13 +302,10 @@ def run_sweep(
     repeated m or family variant raises ValueError, since its row would count
     the same seeded trials more than once.
     """
-    if not m_grid or not families or trials_per_point < 1:
+    if not len(m_grid) or not families or trials_per_point < 1:
         raise ValueError("m grid, families and trials_per_point must be non-empty/positive")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    for family, multi in families:
-        if (family, multi) not in FAMILY_STREAM_IDS:
-            raise ValueError(f"unknown family variant ({family!r}, multi={multi})")
     if len(set(m_grid)) < len(m_grid) or len(set(families)) < len(families):
         raise ValueError("m grid and families must not repeat a sweep point")
     configs = [
@@ -320,7 +319,7 @@ def run_sweep(
     tasks = [(pointed, m, index) for m, pointed in points for index in range(trials_per_point)]
     results = _map_trials(_sweep_task, tasks, workers)
     rows = [
-        _aggregate(pointed.design, m, results[i : i + trials_per_point])
+        _aggregate(replace(pointed.design, m=m), results[i : i + trials_per_point])
         for (m, pointed), i in zip(points, range(0, len(tasks), trials_per_point))
     ]
     return sorted(rows, key=lambda row: (row.family, row.multi, row.m))

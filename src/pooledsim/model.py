@@ -1,6 +1,7 @@
 """Core domain types: hidden bit vectors, the read-noise channel, recovery metrics."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,7 @@ class FixedPrior:
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _check_int(self.k, "fixed one-count"))
         if self.k < 0:
             raise ValueError(f"fixed one-count must be non-negative, got {self.k}")
 
@@ -137,6 +139,8 @@ def eps_recovery(truth: GroundTruth, estimate: np.ndarray, epsilon: float) -> Re
     """
     _check_epsilon(epsilon)
     estimate = np.asarray(estimate)
+    if estimate.ndim != 1:
+        raise ValueError(f"estimate must be a one-dimensional vector, got shape {estimate.shape}")
     if estimate.size != truth.n:
         raise ValueError(f"length mismatch: {truth.n} vs {estimate.size}")
     dist = int(np.count_nonzero(truth.bits != estimate))
@@ -154,3 +158,11 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if epsilon == float("inf"):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
+
+
+def _check_int(value: object, name: str) -> int:
+    """``value`` as a Python int, by ``operator.index``; else ValueError naming it ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

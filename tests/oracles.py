@@ -545,6 +545,21 @@ def regenerated_score_samples(seed: int, samples: int):
     return x_values, distinct0, population, positives, degree, gamma
 
 
+def clashes_reference(values, index=()) -> list[bool]:
+    """Per value: does it occur twice in ``values``, or count above 0 in the overlay ``index``?
+
+    ``index`` is ``(base, added, removed)``: a key's count is its copies in
+    ``base`` and ``added`` less its copies in ``removed``, tallied by Counter.
+    """
+    seen = Counter(values)
+    held: Counter = Counter()
+    if index:
+        base, added, removed = (list(part) for part in index)
+        held.update(base + added)
+        held.subtract(removed)
+    return [seen[value] > 1 or held[value] > 0 for value in values]
+
+
 def _multiset_counts(base_sorted: np.ndarray, delta: dict[int, int], keys: np.ndarray) -> np.ndarray:
     """Current multiplicity of each key: static sorted snapshot plus overlay."""
     left = np.searchsorted(base_sorted, keys, side="left")

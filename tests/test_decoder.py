@@ -366,6 +366,11 @@ def test_counting_bound_rejects_tiny_k():
         (threshold_fraction, (1.0, 10, 0.0), r"p must lie in \(0, 1\], got 0.0"),
         (threshold_fraction, (1.0, 10, 1.5), r"p must lie in \(0, 1\], got 1.5"),
         (decode, ([1, 2], [0, 0], [0]), "scores, centers and thresholds must have equal length"),
+        (decode, (np.ones(4), np.zeros((4, 1)), np.zeros(4)),
+         r"centers must be a one-dimensional vector, got shape \(4, 1\)"),
+        (decode, (1.0, [0.0], [0.0]), r"scores must be a one-dimensional vector, got shape \(\)"),
+        (decode, (np.ones(4), np.zeros(4), np.zeros((2, 2))),
+         r"thresholds must be a one-dimensional vector, got shape \(2, 2\)"),
         (required_queries, (1000, 0.1, 0.0, 0.1, IDENT), r"epsilon must lie in \(0, 1\), got 0.0"),
         (required_queries, (1000, 0.1, 1.0, 0.1, IDENT), r"epsilon must lie in \(0, 1\), got 1.0"),
         (required_queries, (1000, 0.1, 0.1, 0.0, IDENT), r"delta must lie in \(0, 1\), got 0.0"),
@@ -373,7 +378,8 @@ def test_counting_bound_rejects_tiny_k():
         (entropy, (-0.1,), r"alpha must lie in \[0, 1\], got -0.1"),
         (entropy, (1.5,), r"alpha must lie in \[0, 1\], got 1.5"),
     ],
-    ids=["rate-n", "fraction-p0", "fraction-p1.5", "decode-lengths", "bound-eps0", "bound-eps1",
+    ids=["rate-n", "fraction-p0", "fraction-p1.5", "decode-lengths", "decode-column-centers",
+         "decode-scalar-scores", "decode-square-thresholds", "bound-eps0", "bound-eps1",
          "bound-delta0", "bound-delta1", "entropy-neg", "entropy-above-1"],
 )
 def test_input_checks_name_the_bad_argument(fn, args, message):

@@ -12,6 +12,7 @@ import pooledsim.designs
 from oracles import (
     _pool_cells,
     bernoulli_dense_reference,
+    clashes_reference,
     graph_from_pairs,
     is_simple,
     read_edge_list_reference,
@@ -63,6 +64,35 @@ def test_design_spec_validation():
         DesignSpec(n=0, m=5, gamma=2, family="bernoulli")
     # multi-edge regular designs may exceed n agents per query
     DesignSpec(n=2, m=1, gamma=4, family="doubly_regular", allow_multi=True)
+
+
+@pytest.mark.parametrize("family, multi", sorted(FAMILY_STREAM_IDS))
+def test_design_spec_stores_numpy_fields_as_python_ones(family, multi):
+    spec = DesignSpec(n=100, m=30, gamma=10, family=family, allow_multi=multi)
+    numpy_spec = DesignSpec(np.int64(100), np.uint32(30), np.int16(10), family, np.bool_(multi))
+    assert numpy_spec == spec
+    fields = ("n", "m", "gamma", "allow_multi")
+    assert [type(getattr(numpy_spec, name)) for name in fields] == [int, int, int, bool]
+    rngs = np.random.default_rng(4), np.random.default_rng(4)
+    assert same_graph(generate(numpy_spec, rngs[0]), generate(spec, rngs[1]))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        (dict(n=1e3), r"design parameter n must be an integer, got 1000\.0"),
+        (dict(m="30"), r"design parameter m must be an integer, got '30'"),
+        (dict(gamma=np.float64(10)),
+         r"design parameter gamma must be an integer, got np\.float64\(10\.0\)"),
+        (dict(allow_multi="false"), r"allow_multi must be a bool, got 'false'"),
+        (dict(allow_multi=1), r"allow_multi must be a bool, got 1"),
+    ],
+    ids=["float-n", "str-m", "numpy-float-gamma", "str-multi", "int-multi"],
+)
+def test_design_spec_rejects_non_integer_sizes_and_non_bool_multi(field, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DesignSpec(**{"n": 100, "m": 30, "gamma": 10, "family": "doubly_regular", **field})
 
 
 # ------------------------------------------------------ balanced degree split
@@ -577,12 +607,34 @@ def test_multi_generate_counts_like_unique(family, n, m, gamma):
         assert np.array_equal(got, want)
 
 
-def test_repeated_marks_what_unique_counts_twice():
+def random_overlay(rng, high, dtype):
+    """A sorted ``(base, added, removed)`` overlay as the swap repair keeps it.
+
+    ``removed`` is a sub-multiset of ``base + added``, and as long as ``added``.
+    """
+    base = rng.integers(0, high, int(rng.integers(0, 30)))
+    added = rng.integers(0, high, int(rng.integers(0, 30)))
+    removed = rng.choice(np.concatenate([base, added]), size=added.size, replace=False)
+    return tuple(np.sort(part).astype(dtype) for part in (base, added, removed))
+
+
+def test_clashes_match_a_counter():
     rng = np.random.default_rng(3)
-    for values in (rng.integers(0, 5, 40), rng.integers(0, 10**6, 2000), np.arange(7), [4]):
-        values = np.asarray(values, dtype=np.int64)
-        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-        assert np.array_equal(pooledsim.designs._repeated(values), counts[inverse] > 1)
+    clashes = pooledsim.designs._clashes
+    for dtype in (np.uint32, np.int64):  # the repair's two key dtypes
+        for values in (rng.integers(0, 5, 40), rng.integers(0, 10**6, 2000), np.arange(7), [4]):
+            values = np.asarray(values, dtype=dtype)
+            assert clashes(values).tolist() == clashes_reference(values.tolist())
+        empty = np.empty(0, dtype=dtype)
+        for trial in range(300):
+            high = int(rng.integers(1, 40))
+            values = rng.integers(0, high, int(rng.integers(1, 30))).astype(dtype)
+            overlay = random_overlay(rng, high, dtype)
+            if trial % 5 == 0:  # as right after a fold
+                overlay = (overlay[0], empty, empty)
+            assert overlay[1].size == overlay[2].size
+            want = clashes_reference(values.tolist(), [part.tolist() for part in overlay])
+            assert clashes(values, overlay).tolist() == want
 
 
 # ----------------------------------------------------------- distinct degrees

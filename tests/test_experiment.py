@@ -5,6 +5,7 @@ import pooledsim.experiment
 from pooledsim.decoder import required_queries
 from pooledsim.designs import DesignSpec, SimplificationError
 from pooledsim.experiment import (
+    FAMILY_STREAM_IDS,
     TrialConfig,
     derive_seed,
     run_sweep,
@@ -67,6 +68,16 @@ def test_derive_seed_rejects_a_base_or_index_outside_64_bits(value):
     assert derive_seed(2**64 - 1, [2**64 - 1]) != derive_seed(7, [0])
 
 
+def test_derive_seed_takes_numpy_integers_and_rejects_other_types():
+    assert derive_seed(np.uint64(2**64 - 1), [np.int64(300), np.uint8(3)]) == derive_seed(
+        2**64 - 1, [300, 3]
+    )
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        derive_seed(1.5)
+    with pytest.raises(ValueError, match=r"^seed index must be an integer, got '3'$"):
+        derive_seed(7, ["3"])
+
+
 # ------------------------------------------------------------------ wilson
 
 
@@ -97,6 +108,15 @@ def test_wilson_interval_narrows_with_trials():
 
 
 # --------------------------------------------------------------- run_trial
+
+
+@pytest.mark.parametrize("family, multi", sorted(FAMILY_STREAM_IDS))
+def test_run_trial_takes_numpy_integers(family, multi):
+    design = DesignSpec(n=100, m=100, gamma=10, family=family, allow_multi=multi)
+    config = make_config(design=design)
+    result = run_trial(config, np.int64(300), np.int64(2))
+    assert result == run_trial(config, 300, 2)
+    assert type(result.m) is int
 
 
 def test_run_trial_deterministic():
@@ -290,10 +310,24 @@ def test_run_sweep_success_monotone_in_m():
     assert rates[-1] > rates[0]
 
 
-def test_run_sweep_rejects_bad_family():
+def test_run_sweep_takes_a_numpy_grid():
     config = make_config()
-    with pytest.raises(ValueError):
-        run_sweep(config, [100], [("bernoulli", True)], trials_per_point=2)
+    families = [("doubly_regular", False), ("bernoulli", False)]
+    rows = run_sweep(config, np.arange(100, 301, 100), families, trials_per_point=2)
+    assert rows == run_sweep(config, [100, 200, 300], families, trials_per_point=2)
+    assert {type(row.m) for row in rows} == {int}
+
+
+def test_run_sweep_rejects_bad_family():
+    # Each variant's DesignSpec rejects it, with the spec's own message.
+    config = make_config()
+    for variant, message in [
+        (("bernoulli", True), "^bernoulli designs are simple by construction$"),
+        (("nope", False), "^unknown design family 'nope', expected one of "),
+        (("doubly_regular", "false"), "^allow_multi must be a bool, got 'false'$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            run_sweep(config, [100], [variant], trials_per_point=2)
     with pytest.raises(ValueError):
         run_sweep(config, [], [("bernoulli", False)], trials_per_point=2)
 

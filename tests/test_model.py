@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,14 +56,21 @@ def test_sample_rejects_bad_arguments():
     "make, error, message",
     [
         (lambda: FixedPrior(k=-1), ValueError, "fixed one-count must be non-negative, got -1"),
+        (lambda: FixedPrior(k=2.5), ValueError, r"fixed one-count must be an integer, got 2\.5"),
         (lambda: sample_ground_truth(3, 0.5, np.random.default_rng(0)), TypeError,
          "unsupported prior: 0.5"),
     ],
-    ids=["negative-k", "unsupported-prior"],
+    ids=["negative-k", "float-k", "unsupported-prior"],
 )
 def test_prior_input_checks(make, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         make()
+
+
+def test_fixed_prior_stores_a_numpy_count_as_a_python_int():
+    prior = FixedPrior(np.int64(3))
+    assert prior == FixedPrior(3)
+    assert type(prior.k) is int
 
 
 def hamming_of(a, b):
@@ -81,6 +90,15 @@ def test_hamming_distance_examples():
 def test_hamming_distance_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
         hamming_of(np.array([1, 0]), np.array([1, 0, 1]))
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (1, 4), ()])
+def test_eps_recovery_rejects_an_estimate_that_is_not_a_vector(shape):
+    truth = GroundTruth(np.array([1, 0, 0, 0]))
+    assert eps_recovery(truth, np.zeros(4), epsilon=0.5).hamming == 1
+    message = rf"^estimate must be a one-dimensional vector, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        eps_recovery(truth, np.zeros(shape), epsilon=0.5)
 
 
 def test_overlap_examples():
