@@ -1,7 +1,7 @@
 """pooledsim: a simulation lab for approximate recovery from noisy pooled data.
 
-The package covers the full pipeline: random pooling designs (Bernoulli,
-one-sided regular, doubly regular, with or without multi-edges), noisy
+The package covers the full pipeline: random pooling designs (Bernoulli
+and doubly regular, the latter with or without multi-edges), noisy
 additive queries, threshold decoding, closed-form query bounds, and a seeded
 Monte-Carlo sweep harness with a CLI.  The names below are the pipeline's
 entry points; everything else is reached through its module.

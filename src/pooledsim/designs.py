@@ -1,4 +1,4 @@
-"""Random bipartite pooling designs: Bernoulli, one-sided regular, doubly regular.
+"""Random bipartite pooling designs: Bernoulli and doubly regular.
 
 All generators are pure functions of (spec, rng).  A graph is stored agent
 by agent: one segment of (query, multiplicity) edges per agent, queries
@@ -28,7 +28,7 @@ __all__ = [
     "read_edge_list",
 ]
 
-FAMILIES = ("bernoulli", "one_sided_regular", "doubly_regular")
+FAMILIES = ("bernoulli", "doubly_regular")
 
 _MAX_SWAP_FACTOR = 100
 _MAX_OVERLAY_FRACTION = 0.01  # swap repair rebuilds its pair index past this overlay share
@@ -43,7 +43,7 @@ class SimplificationError(RuntimeError):
 class DesignSpec:
     """Parameters of a pooling design.
 
-    gamma is the number of agents per query (exact for the regular families,
+    gamma is the number of agents per query (exact for doubly regular,
     expected for Bernoulli).  Sizes are stored as Python ints, allow_multi as a bool.
     """
 
@@ -152,10 +152,7 @@ def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
     if spec.family == "bernoulli":
         keys = _bernoulli_keys(spec, rng)
     else:
-        if spec.family == "one_sided_regular":
-            members = _one_sided_members(spec, rng)
-        else:
-            members = _doubly_regular_members(spec, rng)
+        members = _doubly_regular_members(spec, rng)
         # Row q of the (m, gamma) member matrix holds query q's agents.
         key = _key_dtype(spec.n, spec.m, spec.gamma)
         keys = members.astype(key, copy=False)
@@ -238,32 +235,6 @@ def _geometric(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
     gaps /= -math.log1p(-p)  # a gap past 2**63, which numpy clamps, needs p below 5e-18
     np.ceil(gaps, out=gaps)
     return gaps.astype(np.int64)
-
-
-def _one_sided_members(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
-    """Every query independently draws gamma agents; returns the (m, gamma) members.
-
-    The multi variant draws with replacement.  The simple variant draws with
-    replacement, keeps one copy of each agent and draws again for those a query
-    still lacks, so each query gets a uniform subset (Devroye 1986, ch. XII).
-    """
-    if spec.allow_multi:
-        return rng.integers(0, spec.n, size=(spec.m, spec.gamma))
-    drawn = min(spec.gamma, spec.n - spec.gamma)  # above n/2, draw the agents left out
-    key = _key_dtype(spec.n, spec.m, spec.gamma)
-    starts = np.arange(spec.m, dtype=key) * key(spec.n)
-    chosen = np.empty(0, dtype=key)  # sorted distinct query * n + agent keys
-    while chosen.size < spec.m * drawn:
-        missing = drawn - np.diff(np.searchsorted(chosen, starts), append=chosen.size)
-        fresh = np.repeat(starts, missing) + rng.integers(0, spec.n, missing.sum(), dtype=key)
-        chosen = np.concatenate([chosen, np.sort(fresh)])
-        chosen.sort(kind="stable")  # merges the two sorted runs
-        chosen = chosen[np.concatenate([[True], chosen[1:] != chosen[:-1]])]
-    if drawn == spec.gamma:
-        return (chosen % key(spec.n)).astype(np.int64).reshape(spec.m, spec.gamma)
-    kept = np.ones(spec.m * spec.n, dtype=bool)
-    kept[chosen] = False
-    return (np.flatnonzero(kept) % spec.n).reshape(spec.m, spec.gamma)
 
 
 def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.ndarray:
@@ -530,18 +501,18 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     # No degree passes int64 when E times the largest multiplicity does not.
     if mult_arr.size and mult_arr.max() > np.iinfo(np.int64).max // mult_arr.size:
         _check_degrees_fit(graph)
-    # Regular families fix each query's degree; doubly regular splits m * gamma evenly over agents.
-    degree_rules = []
-    if family != "bernoulli":
-        degree_rules.append(("query", graph.query_degrees, gamma, gamma, f"gamma={gamma}"))
+    # Doubly regular fixes each query's degree at gamma and splits m * gamma evenly over agents.
     if family == "doubly_regular":
         low, extra = divmod(m * gamma, n)
-        want = f"{low} or {low + 1}" if extra else f"{low}"
-        degree_rules.append(("agent", graph.agent_degrees, low, low + (extra > 0), want))
-    for end, deg, low, high, want in degree_rules:
-        off = np.flatnonzero((deg < low) | (deg > high))
-        if off.size:
-            raise ValueError(f"{family} {end} {off[0]} has degree {deg[off[0]]}, expected {want}")
+        agent_want = f"{low} or {low + 1}" if extra else f"{low}"
+        for end, deg, lo, hi, want in (
+            ("query", graph.query_degrees, gamma, gamma, f"gamma={gamma}"),
+            ("agent", graph.agent_degrees, low, low + (extra > 0), agent_want),
+        ):
+            off = np.flatnonzero((deg < lo) | (deg > hi))
+            if off.size:
+                i = off[0]
+                raise ValueError(f"{family} {end} {i} has degree {deg[i]}, expected {want}")
     return spec, graph
 
 

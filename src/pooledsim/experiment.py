@@ -51,10 +51,9 @@ _MASK64 = (1 << 64) - 1
 _INDEX_SALT = 0x9E3779B97F4A7C15  # odd constant, golden-ratio based
 
 # Stream ids keep the (family, multi) variants on disjoint random streams.
+# Ids 1 and 2 belonged to a retired family; they stay unused so that no other stream moves.
 FAMILY_STREAM_IDS = {
     ("bernoulli", False): 0,
-    ("one_sided_regular", False): 1,
-    ("one_sided_regular", True): 2,
     ("doubly_regular", False): 3,
     ("doubly_regular", True): 4,
 }
@@ -302,6 +301,8 @@ def run_sweep(
     repeated m or family variant raises ValueError, since its row would count
     the same seeded trials more than once.
     """
+    trials_per_point = _check_int(trials_per_point, "trials_per_point")
+    workers = _check_int(workers, "workers")
     if not len(m_grid) or not families or trials_per_point < 1:
         raise ValueError("m grid, families and trials_per_point must be non-empty/positive")
     if workers < 1:

@@ -130,17 +130,17 @@ def read_edge_list_reference(lines):
         for index, degree in enumerate(degrees):
             if degree >= 2**63:
                 raise ValueError(f"{end} {index} has degree {degree}, above the int64 maximum")
-    low, extra = divmod(m * gamma, n)
-    ends = []
-    if family != "bernoulli":
-        ends.append(("query", query_degree, {gamma}, f"gamma={gamma}"))
     if family == "doubly_regular":
-        want = f"{low} or {low + 1}" if extra else f"{low}"
-        ends.append(("agent", agent_degree, {low, low + (extra > 0)}, want))
-    for end, degrees, allowed, want in ends:
-        for index, degree in enumerate(degrees):
-            if degree not in allowed:
-                raise ValueError(f"{family} {end} {index} has degree {degree}, expected {want}")
+        low, extra = divmod(m * gamma, n)
+        agent_want = f"{low} or {low + 1}" if extra else f"{low}"
+        ends = [
+            ("query", query_degree, {gamma}, f"gamma={gamma}"),
+            ("agent", agent_degree, {low, low + (extra > 0)}, agent_want),
+        ]
+        for end, degrees, allowed, want in ends:
+            for index, degree in enumerate(degrees):
+                if degree not in allowed:
+                    raise ValueError(f"{family} {end} {index} has degree {degree}, expected {want}")
     return spec, [triple[1:] for triple in numbered]
 
 
@@ -271,23 +271,6 @@ def bernoulli_dense_reference(spec, rng: np.random.Generator) -> PoolingGraph:
     agents = np.concatenate(agents_parts)
     queries = np.concatenate(queries_parts)
     return graph_from_pairs(spec.n, spec.m, spec.gamma, np.column_stack([agents, queries]))
-
-
-def uniform_subsets_reference(n: int, m: int, gamma: int, rng: np.random.Generator) -> np.ndarray:
-    """The former one-sided simple sampler: m uniform gamma-subsets of range(n).
-
-    Each row of the (m, gamma) result argpartitions n uniforms, in chunks of whole rows.
-    """
-    chunk_cells = 8_000_000
-    if gamma == n:
-        return np.tile(np.arange(n, dtype=np.int64), (m, 1))
-    out = np.empty((m, gamma), dtype=np.int64)
-    rows_per_chunk = max(1, chunk_cells // n)
-    for start in range(0, m, rows_per_chunk):
-        rows = min(rows_per_chunk, m - start)
-        u = rng.random((rows, n))
-        out[start : start + rows] = np.argpartition(u, gamma, axis=1)[:, :gamma]
-    return out
 
 
 def skip_keys_reference(cells: int, p_edge: float, block: int, rng: np.random.Generator) -> np.ndarray:

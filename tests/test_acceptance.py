@@ -294,7 +294,7 @@ def test_criterion_8_design_invariants():
     checked = 0
     simplified = 0
     for _ in range(1000):
-        family = FAMILIES[int(rng.integers(0, 3))]
+        family = FAMILIES[int(rng.integers(0, len(FAMILIES)))]
         multi = bool(rng.integers(0, 2)) and family != "bernoulli"
         n = int(rng.integers(2, 60))
         m = int(rng.integers(1, 40))

@@ -101,6 +101,16 @@ def test_generate_rejects_invalid_spec(tmp_path, capsys):
     assert code == 2
 
 
+def test_generate_rejects_the_removed_family(tmp_path, capsys):
+    out = tmp_path / "x.edges"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", "--n", "4", "--m", "2", "--gamma", "2",
+              "--family", "one_sided_regular", "--seed", "1", "--output", str(out)])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'one_sided_regular'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -259,10 +269,10 @@ def test_parse_sweep_config_family_variants():
     config = parse_sweep_config(
         SWEEP_CONFIG.replace(
             "families = doubly_regular/simple, bernoulli",
-            "families = one_sided_regular/multi",
+            "families = doubly_regular/multi",
         )
     )
-    assert config.families == [("one_sided_regular", True)]
+    assert config.families == [("doubly_regular", True)]
     with pytest.raises(ConfigError):
         parse_sweep_config(
             SWEEP_CONFIG.replace(
@@ -293,6 +303,8 @@ def test_parse_sweep_config_line_numbers_in_errors():
         ("40,80,120", ",", "at least one query count"),
         ("40,80,120", "40,abc", r"line 10: key 'm_grid': invalid literal for int\(\)"),
         ("bernoulli\n", "nope\n", "line 11: key 'families': unknown family 'nope'"),
+        ("bernoulli\n", "one_sided_regular\n",
+         "line 11: key 'families': unknown family 'one_sided_regular'"),
         ("bernoulli\n", "bernoulli/dense\n", "variant must be 'simple' or 'multi'"),
         ("bernoulli\n", "bernoulli/\n", "line 11: key 'families': family variant must be "
          "'simple' or 'multi', got ''$"),
@@ -311,7 +323,8 @@ def test_parse_sweep_config_line_numbers_in_errors():
     ],
     ids=[
         "range-shape", "range-empty", "range-step", "grid-empty", "grid-non-integer",
-        "unknown-family", "bad-variant", "empty-variant", "empty-variant-after-family",
+        "unknown-family", "removed-family", "bad-variant", "empty-variant",
+        "empty-variant-after-family",
         "families-empty", "empty-value", "int-non-numeric",
         "float-non-numeric", "prior-rejected", "zero-trials", "grid-zero", "range-from-zero",
         "grid-repeat", "families-repeat",

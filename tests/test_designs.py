@@ -1,5 +1,4 @@
 import io
-import itertools
 import math
 import warnings
 
@@ -20,7 +19,6 @@ from oracles import (
     same_graph,
     simplify,
     skip_keys_reference,
-    uniform_subsets_reference,
     write_edge_list_reference,
 )
 from pooledsim.channel import QueryOutcomes, run_queries
@@ -55,7 +53,7 @@ def test_design_spec_validation():
     with pytest.raises(ValueError):
         DesignSpec(n=10, m=5, gamma=11, family="bernoulli")
     with pytest.raises(ValueError):
-        DesignSpec(n=10, m=5, gamma=11, family="one_sided_regular", allow_multi=False)
+        DesignSpec(n=10, m=5, gamma=11, family="doubly_regular", allow_multi=False)
     with pytest.raises(ValueError):
         DesignSpec(n=10, m=5, gamma=2, family="bernoulli", allow_multi=True)
     with pytest.raises(ValueError):
@@ -204,78 +202,6 @@ def test_doubly_regular_exchangeable_membership():
         counts[graph.edge_agents, graph.edge_queries] += 1
     _, pvalue = scipy.stats.chisquare(counts.ravel())
     assert pvalue > 0.01
-
-
-# --------------------------------------------------------- one-sided family
-
-
-def test_one_sided_single_agent_queries():
-    rng = np.random.default_rng(4)
-    spec = DesignSpec(n=5, m=3, gamma=1, family="one_sided_regular", allow_multi=False)
-    graph = generate(spec, rng)
-    assert graph.query_degrees.tolist() == [1, 1, 1]
-    assert int(graph.agent_degrees.sum()) == 3
-
-
-def test_one_sided_simple_full_subset():
-    rng = np.random.default_rng(4)
-    spec = DesignSpec(n=3, m=1, gamma=3, family="one_sided_regular", allow_multi=False)
-    graph = generate(spec, rng)
-    assert graph.edge_agents.tolist() == [0, 1, 2]
-    assert is_simple(graph)
-
-
-def test_one_sided_regular_query_degrees():
-    rng = np.random.default_rng(14)
-    for multi in (False, True):
-        spec = DesignSpec(n=12, m=9, gamma=7, family="one_sided_regular", allow_multi=multi)
-        graph = generate(spec, rng)
-        assert (graph.query_degrees == 7).all()
-        if not multi:
-            assert is_simple(graph)
-
-
-@pytest.mark.parametrize("gamma", range(1, 7))
-def test_one_sided_simple_rows_are_uniform_subsets(gamma):
-    # Up to gamma = 3 a row draws its agents, above it the agents it leaves out.
-    n, rows = 6, 6000
-    spec = DesignSpec(n=n, m=rows, gamma=gamma, family="one_sided_regular")
-    members = pooledsim.designs._one_sided_members(spec, np.random.default_rng(30 + gamma))
-    assert members.dtype == np.int64 and members.shape == (rows, gamma)
-    masks = np.bitwise_or.reduce(1 << members, axis=1)  # a repeat leaves a bit short
-    subsets = [sum(1 << a for a in c) for c in itertools.combinations(range(n), gamma)]
-    counts = np.bincount(masks, minlength=1 << n)
-    assert counts.sum() == counts[subsets].sum() == rows
-    if len(subsets) > 1:
-        assert scipy.stats.chisquare(counts[subsets]).pvalue > 0.001
-
-
-@pytest.mark.parametrize("gamma", [12, 33])
-def test_one_sided_simple_agent_degrees_match_the_reference(gamma):
-    spec = DesignSpec(n=50, m=40, gamma=gamma, family="one_sided_regular")
-    rng, ref_rng = np.random.default_rng(gamma), np.random.default_rng(100 + gamma)
-    new = np.concatenate([generate(spec, rng).agent_degrees for _ in range(300)])
-    old = np.concatenate([
-        np.bincount(uniform_subsets_reference(50, 40, gamma, ref_rng).ravel(), minlength=50)
-        for _ in range(300)
-    ])
-    # clip the sparse tails into the end cells so the chi-square approximation is sound
-    lo, hi = scipy.stats.binom.ppf([0.001, 0.999], spec.m, gamma / spec.n).astype(int)
-    table = [np.bincount(np.clip(d, lo, hi) - lo, minlength=hi - lo + 1) for d in (new, old)]
-    assert scipy.stats.chi2_contingency(table).pvalue > 0.001
-
-
-def test_one_sided_multi_self_pair_rate():
-    # A pair query drawn with replacement repeats its first agent w.p. 1/n.
-    rng = np.random.default_rng(16)
-    spec = DesignSpec(n=10, m=1000, gamma=2, family="one_sided_regular", allow_multi=True)
-    self_pairs = 0
-    total = 0
-    for _ in range(10):
-        graph = generate(spec, rng)
-        self_pairs += int(np.count_nonzero(graph.edge_mult == 2))
-        total += graph.n_queries
-    assert abs(self_pairs / total - 0.1) < 0.01
 
 
 # ----------------------------------------------------------- bernoulli family
@@ -543,7 +469,6 @@ def test_generate_doubly_regular_simple_variant_is_simple():
 
 MEMBERS_OF = {
     "doubly_regular": pooledsim.designs._doubly_regular_members,
-    "one_sided_regular": pooledsim.designs._one_sided_members,
 }
 
 
@@ -580,9 +505,6 @@ WIDE_KEY_POINTS = [
     ("doubly_regular", 65_536, 65_536, 4, np.uint32),
     ("doubly_regular", 65_536, 65_537, 4, np.int64),
     ("doubly_regular", 131_072, 9, 32_769, np.int64),
-    ("one_sided_regular", 65_536, 65_536, 4, np.uint32),
-    ("one_sided_regular", 65_536, 65_537, 4, np.int64),
-    ("one_sided_regular", 131_072, 9, 32_769, np.int64),
 ]
 
 
@@ -686,9 +608,9 @@ def test_edge_list_round_trip_and_header():
 
 
 def test_edge_list_round_trip_with_multiplicities():
-    graph = graph_from_pairs(3, 2, 3, [(0, 0), (0, 0), (1, 0), (2, 1), (2, 1), (2, 1)])
+    graph = graph_from_pairs(3, 2, 3, [(0, 0), (0, 0), (1, 0), (1, 1), (2, 1), (2, 1)])
     buf = io.StringIO()
-    write_edge_list(buf, graph, "one_sided_regular", True)
+    write_edge_list(buf, graph, "doubly_regular", True)
     text = buf.getvalue()
     blank = text.replace("\n", "\n \t\n", 2)  # whitespace-only lines in the body
     first_edge_end = text.index("\n", text.index("\n") + 1)
@@ -709,7 +631,7 @@ def test_edge_list_round_trip_with_multiplicities():
         assert not graph_back.edge_mult.flags.writeable
 
 
-def edge_list_lines(writer, graph, family="one_sided_regular", allow_multi=True):
+def edge_list_lines(writer, graph, family="doubly_regular", allow_multi=True):
     # Lines with their ends: pytest compares lists by their first difference,
     # where a diff of two long strings would take minutes.
     buf = io.StringIO()
@@ -767,7 +689,7 @@ def test_write_edge_list_crosses_a_chunk_boundary():
             return super().write(text)
 
     stream = Recorder()
-    write_edge_list(stream, graph, "one_sided_regular", True)
+    write_edge_list(stream, graph, "doubly_regular", True)
     lines = stream.getvalue().splitlines(keepends=True)
     assert lines == edge_list_lines(write_edge_list_reference, graph)
     assert len(writes) == 3  # the header and two chunks
@@ -796,35 +718,36 @@ def test_read_edge_list_skips_blank_lines_without_warnings():
         ("4 2 2 doubly_regular\n", "malformed header"),
         ("", "empty edge-list input"),
         (
-            "2 1 2 one_sided_regular false\n0 0 2\n",
+            "2 1 2 doubly_regular false\n0 0 2\n",
             "line 2: multiplicity above 1 under multi=false",
         ),
-        ("2 1 2 one_sided_regular true\n0 0 2\n1 0 0\n", "line 3: multiplicity must be at least 1"),
-        ("2 1 2 one_sided_regular true\n0 0 1\n0 0 1\n", "line 3: repeats the line before"),
-        ("2 1 2 one_sided_regular false\n\n1 0 1\n0 0 1\n", "line 4: precedes the line before"),
-        ("3 2 2 doubly_regular false\n0 0 1\n1 0 1\n1 1 1\n", "query 1 has degree 1, expected gamma=2"),
+        ("2 1 2 doubly_regular true\n0 0 2\n1 0 0\n", "line 3: multiplicity must be at least 1"),
+        ("2 1 2 doubly_regular true\n0 0 1\n0 0 1\n", "line 3: repeats the line before"),
+        ("2 1 2 doubly_regular false\n\n1 0 1\n0 0 1\n", "line 4: precedes the line before"),
+        # agent 2 is off too, but the query rule runs first
         (
-            "3 2 2 one_sided_regular false\n0 0 1\n1 0 1\n1 1 1\n",
-            "^one_sided_regular query 1 has degree 1, expected gamma=2$",
+            "3 2 2 doubly_regular false\n0 0 1\n1 0 1\n1 1 1\n",
+            "^doubly_regular query 1 has degree 1, expected gamma=2$",
         ),
         (
             "3 2 2 doubly_regular false\n0 0 1\n0 1 1\n1 0 1\n1 1 1\n",
             "^doubly_regular agent 2 has degree 0, expected 1 or 2$",
         ),
         ("2 2 1 doubly_regular false\n0 0 1\n0 1 1\n", "^doubly_regular agent 0 has degree 2, expected 1$"),
-        ("2 1 2 one_sided_regular false\n0 0 1\n5 0 1\n", r"line 3: agent outside 0\.\.1"),
-        ("x 1 2 one_sided_regular true\n", "malformed header"),
-        ("2 1 2 one_sided_regular true\n\n0 x 1\n", "line 3: expected an integer"),
-        ("2 1 2 one_sided_regular true\n0 0 1.0\n", "line 2: expected an integer"),
+        ("2 1 2 doubly_regular false\n0 0 1\n5 0 1\n", r"line 3: agent outside 0\.\.1"),
+        ("x 1 2 doubly_regular true\n", "malformed header"),
+        ("2 1 2 one_sided_regular true\n0 0 1\n", "^unknown design family 'one_sided_regular'"),
+        ("2 1 2 doubly_regular true\n\n0 x 1\n", "line 3: expected an integer"),
+        ("2 1 2 doubly_regular true\n0 0 1.0\n", "line 2: expected an integer"),
         (
             "2 1 2 bernoulli false\n99999999999999999999 0 1\n",
             "line 2: expected an integer 'agent query multiplicity' triple",
         ),
-        ("2 1 2 one_sided_regular true\n0 0 1\n1 0 1 # x\n", "line 3: expected an integer"),
-        ("2 1 2 one_sided_regular true\n0 0 1\n\n1 0\n", "line 4: expected an integer"),
-        ("2 1 2 one_sided_regular true\n0 0 1\n1 0 1 1\n", "line 3: expected an integer"),
+        ("2 1 2 doubly_regular true\n0 0 1\n1 0 1 # x\n", "line 3: expected an integer"),
+        ("2 1 2 doubly_regular true\n0 0 1\n\n1 0\n", "line 4: expected an integer"),
+        ("2 1 2 doubly_regular true\n0 0 1\n1 0 1 1\n", "line 3: expected an integer"),
         # Python's int() reads 1_0 as 10; the edge-list format takes ASCII digits only
-        ("20 1 2 one_sided_regular true\n1_0 0 1\n", "line 2: expected an integer"),
+        ("20 1 2 doubly_regular true\n1_0 0 1\n", "line 2: expected an integer"),
         # numpy's reader alone reads DEVANAGARI DIGIT TWO as 2360
         ("3000 1 1 bernoulli false\n\u0968 0 1\n", "line 2: expected an integer"),
         # the header's integers follow the body's rule
@@ -834,8 +757,9 @@ def test_read_edge_list_skips_blank_lines_without_warnings():
     ],
     ids=[
         "no-multi-flag", "empty", "multi-false", "mult-zero", "duplicate", "unsorted", "dr-degree",
-        "one-sided-degree", "dr-agent-degree", "dr-agent-degree-exact",
-        "agent-range", "header-non-integer", "query-non-integer", "mult-non-integer",
+        "dr-agent-degree", "dr-agent-degree-exact",
+        "agent-range", "header-non-integer", "removed-family", "query-non-integer",
+        "mult-non-integer",
         "int64-overflow", "comment", "two-fields", "four-fields", "underscore-digits",
         "devanagari-digit", "header-underscore-digits", "header-arabic-indic-digits",
         "header-int64-overflow",
@@ -859,7 +783,7 @@ LOCATOR_FIELDS = [("x", "expected an integer"), ("4", "agent outside")]
 
 
 def assert_locates(body, line, message):
-    text = "4 3 1 one_sided_regular false\n" + "\n".join(body) + "\n"
+    text = "4 3 1 doubly_regular false\n" + "\n".join(body) + "\n"
     with pytest.raises(ValueError, match=f"^line {line}: {message}"):
         read_edge_list(io.StringIO(text))
 
@@ -883,7 +807,7 @@ def test_edge_list_locates_each_bad_line(field, message):
     for target in (0, 4321, 65_536, 65_539, len(LONG_LOCATOR_BODY) - 1):
         body = list(LONG_LOCATOR_BODY)
         body[target] = f"{field} {body[target].split(' ', 1)[1]}"
-        text = "4 17000 4 one_sided_regular false\n" + "\n".join(body) + "\n"
+        text = "4 17000 4 doubly_regular false\n" + "\n".join(body) + "\n"
         with pytest.raises(ValueError, match=f"^line {target + 2}: {message}"):
             read_edge_list(io.StringIO(text))
 
@@ -950,7 +874,7 @@ THIRD = 6148914691236517206  # 3 * THIRD = 2**64 + 2
     "lines, message",
     [
         # The query's degree 2**64 + 1 would read as 1 = gamma in a wrapping int64 sum.
-        (["3 1 1 one_sided_regular true", f"0 0 {TOP}", f"1 0 {TOP}", "2 0 3"],
+        (["3 1 1 doubly_regular true", f"0 0 {TOP}", f"1 0 {TOP}", "2 0 3"],
          f"query 0 has degree {2**64 + 1}, above the int64 maximum"),
         # The agent's degree equals m * gamma / n, but that passes int64 (it would read as 2).
         ([f"1 3 {THIRD} doubly_regular true", *(f"0 {q} {THIRD}" for q in range(3))],
@@ -965,15 +889,15 @@ def test_edge_list_rejects_degrees_beyond_int64_like_the_reference(lines, messag
 
 
 def test_edge_list_agent_degrees_survive_a_wrapping_running_sum():
-    # A running sum of the multiplicities would pass 2**63 at agent 2; each
+    # A running sum of the multiplicities would pass 2**63 at agent 1; each
     # agent's sum must still be the agent's own multiplicity.
     top = np.iinfo(np.int64).max
-    lines = [f"3 2 {top} one_sided_regular true", f"0 0 {top}", f"2 1 {top}"]
+    lines = [f"3 3 {top} doubly_regular true", f"0 0 {top}", f"1 2 {top}", f"2 1 {top}"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, graph = read_edge_list(lines)
-        assert graph.agent_degrees.tolist() == [top, 0, top]
-        assert graph.distinct_agent_degrees.tolist() == [1, 0, 1]
+        assert graph.agent_degrees.tolist() == [top, top, top]
+        assert graph.distinct_agent_degrees.tolist() == [1, 1, 1]
 
 
 # ------------------------------------------------------------- agent offsets

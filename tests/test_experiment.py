@@ -119,6 +119,22 @@ def test_run_trial_takes_numpy_integers(family, multi):
     assert type(result.m) is int
 
 
+@pytest.mark.parametrize("family, multi", sorted(FAMILY_STREAM_IDS))
+def test_trial_seed_and_truth_do_not_depend_on_the_channel(family, multi):
+    # The last channel is nearly flat: its threshold is undefined at m = 300.
+    design = DesignSpec(n=100, m=100, gamma=10, family=family, allow_multi=multi)
+    channels = [IDENT, ChannelMatrix.z_channel(0.2), ChannelMatrix(s11=0.9, s01=0.05),
+                ChannelMatrix(s11=0.55, s01=0.45)]
+    details = [
+        run_trial_detailed(make_config(design=design, channel=channel), 300, 4)
+        for channel in channels
+    ]
+    assert [detail.result.failure for detail in details] == [None] * 3 + ["threshold_undefined"]
+    assert len({detail.result.seed for detail in details}) == 1
+    for detail in details[1:]:
+        assert np.array_equal(detail.truth.bits, details[0].truth.bits)
+
+
 def test_run_trial_deterministic():
     config = make_config()
     first = run_trial(config, 150, 3)
@@ -247,10 +263,9 @@ def test_run_sweep_parallel_matches_serial():
     config = make_config(design=DesignSpec(n=50, m=50, gamma=5,
                                            family="doubly_regular", allow_multi=False),
                          prior=FixedPrior(3), epsilon=0.3)
-    serial = run_sweep(config, [120, 60], [("doubly_regular", False), ("one_sided_regular", True)],
-                       trials_per_point=6, workers=1)
-    parallel = run_sweep(config, [120, 60], [("doubly_regular", False), ("one_sided_regular", True)],
-                         trials_per_point=6, workers=3)
+    families = [("doubly_regular", False), ("doubly_regular", True)]
+    serial = run_sweep(config, [120, 60], families, trials_per_point=6, workers=1)
+    parallel = run_sweep(config, [120, 60], families, trials_per_point=6, workers=3)
     assert serial == parallel
 
 
@@ -313,7 +328,7 @@ def test_run_sweep_success_monotone_in_m():
 def test_run_sweep_takes_a_numpy_grid():
     config = make_config()
     families = [("doubly_regular", False), ("bernoulli", False)]
-    rows = run_sweep(config, np.arange(100, 301, 100), families, trials_per_point=2)
+    rows = run_sweep(config, np.arange(100, 301, 100), families, np.int64(2), workers=np.uint8(1))
     assert rows == run_sweep(config, [100, 200, 300], families, trials_per_point=2)
     assert {type(row.m) for row in rows} == {int}
 
@@ -324,6 +339,7 @@ def test_run_sweep_rejects_bad_family():
     for variant, message in [
         (("bernoulli", True), "^bernoulli designs are simple by construction$"),
         (("nope", False), "^unknown design family 'nope', expected one of "),
+        (("one_sided_regular", False), "^unknown design family 'one_sided_regular'"),
         (("doubly_regular", "false"), "^allow_multi must be a bool, got 'false'$"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -332,10 +348,19 @@ def test_run_sweep_rejects_bad_family():
         run_sweep(config, [], [("bernoulli", False)], trials_per_point=2)
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_run_sweep_rejects_workers_below_one(workers):
-    with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
-        run_sweep(make_config(), [100], [("bernoulli", False)], trials_per_point=2, workers=workers)
+@pytest.mark.parametrize(
+    "trials, workers, message",
+    [
+        (2, 0, "workers must be at least 1, got 0"),
+        (2, -1, "workers must be at least 1, got -1"),
+        (2, 2.0, r"workers must be an integer, got 2\.0"),
+        (2.0, 1, r"trials_per_point must be an integer, got 2\.0"),
+    ],
+    ids=["0", "-1", "float-workers", "float-trials"],
+)
+def test_run_sweep_rejects_workers_below_one(trials, workers, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_sweep(make_config(), [100], [("bernoulli", False)], trials, workers=workers)
 
 
 @pytest.mark.parametrize(

@@ -29,19 +29,6 @@ GENERATE_CASES = {
         ["--n", "60", "--m", "40", "--gamma", "30", "--family", "doubly_regular", "--multi"],
         "de15548baa8dd4861ebe330585c025234803aba4a9867465da0abbd40d69c3a5",
     ),
-    "one_sided_simple": (
-        ["--n", "60", "--m", "40", "--gamma", "30", "--family", "one_sided_regular"],
-        "1c37a902bf7aac6e26df1edad8e75afddcb39d44f03d102d373a417be6a14863",
-    ),
-    # gamma > n/2: each query draws the 15 agents it leaves out
-    "one_sided_simple_dense": (
-        ["--n", "60", "--m", "40", "--gamma", "45", "--family", "one_sided_regular"],
-        "63e437e2413844b6d2345b774e6f4863a5297e7e9e848a72e6d69bbe802e6be0",
-    ),
-    "one_sided_multi": (
-        ["--n", "60", "--m", "40", "--gamma", "30", "--family", "one_sided_regular", "--multi"],
-        "48c81e4d2f9ae24f51d4506bdff8cc5e9e54282f0a61c3b3e796c436a8c2d6c2",
-    ),
     "bernoulli": (
         ["--n", "60", "--m", "40", "--gamma", "30", "--family", "bernoulli"],
         "d1d5d04db7f7d738773d47d6e0a5afcd54f0a00f04bcc9c362ca355e2debb84a",

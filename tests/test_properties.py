@@ -1,5 +1,5 @@
 """Property tests over small random designs: edge-list round trip, repair invariants,
-and the decoding and recovery stages against per-agent loops.
+and the decoding and recovery stages against per-agent loops and under agent relabelling.
 
 ``derandomize`` makes every run draw the same examples, and ``database=None``
 keeps Hypothesis from writing a ``.hypothesis/`` directory.
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import pooledsim.designs
 from oracles import (
+    graph_from_pairs,
     is_simple,
     naive_centers,
     naive_recovery,
@@ -28,7 +29,13 @@ from pooledsim.cli import ConfigError, parse_sweep_config
 from pooledsim.decoder import compute_score_vector, decode, rate_constant
 from pooledsim.designs import DesignSpec, generate, read_edge_list, write_edge_list
 from pooledsim.experiment import FAMILY_STREAM_IDS
-from pooledsim.model import BernoulliPrior, ChannelMatrix, eps_recovery, sample_ground_truth
+from pooledsim.model import (
+    BernoulliPrior,
+    ChannelMatrix,
+    GroundTruth,
+    eps_recovery,
+    sample_ground_truth,
+)
 
 reproducible = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -213,7 +220,8 @@ def sweep_config_texts(draw):
     n = draw(st.integers(2, 40))
     grid = draw(st.sampled_from(["20:60:20", "20,40", "30", "10:10:5"]))
     families = draw(st.sampled_from(
-        ["doubly_regular/simple, bernoulli", "one_sided_regular/multi", "doubly_regular/multi"]
+        ["doubly_regular/simple, bernoulli", "bernoulli, doubly_regular/multi",
+         "doubly_regular/multi"]
     ))
     prior = draw(st.sampled_from([f"k = {draw(st.integers(1, n - 1))}", "p = 0.1"]))
     lines = [
@@ -285,3 +293,57 @@ def test_score_vector_and_recovery_match_per_agent_loops(spec, seed, p, channel,
     estimate = decode(vector.scores, vector.centers, vector.thresholds)
     report = eps_recovery(truth, estimate, epsilon=0.25)
     assert (report.hamming, report.overlap) == naive_recovery(truth.bits, estimate)
+
+
+@st.composite
+def relabelled_graphs(draw, max_n=12, max_m=8):
+    """A listed graph, a truth on its agents, and a permutation of the agents.
+
+    The pairs may repeat (multi-edges) and leave any agent edgeless, the
+    first and the last included; gamma may equal n.
+    """
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=40))
+    graph = graph_from_pairs(n, m, draw(st.integers(1, n)), pairs)
+    bits = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return graph, bits, perm
+
+
+@reproducible
+@given(
+    relabelled=relabelled_graphs(),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.05, 0.95),
+    channel=st.sampled_from(
+        [ChannelMatrix.identity(), ChannelMatrix.z_channel(0.2), ChannelMatrix(s11=0.9, s01=0.05)]
+    ),
+    extra_queries=st.integers(1, 200),
+)
+def test_relabelling_agents_permutes_scores_and_decisions(
+    relabelled, seed, p, channel, extra_queries
+):
+    # Agent a of the graph is agent perm[a] of the moved graph, rebuilt from
+    # the moved triples.  The queries are unchanged, so the per-query draws are too.
+    graph, bits, perm = relabelled
+    n, m = graph.n_agents, graph.n_queries
+    moved_pairs = np.column_stack([perm[graph.edge_agents], graph.edge_queries])
+    moved = graph_from_pairs(n, m, graph.gamma, np.repeat(moved_pairs, graph.edge_mult, axis=0))
+    moved_bits = np.empty_like(bits)
+    moved_bits[perm] = bits
+    m_decode = math.floor(math.log(1 / p) / rate_constant(n, p, channel)) + extra_queries
+    runs = []
+    for g, b in ((graph, bits), (moved, moved_bits)):
+        rng = np.random.default_rng(seed)
+        outcomes = run_queries(g, GroundTruth(b), channel, rng)
+        vector = compute_score_vector(g, outcomes, p, channel, m_decode)
+        decisions = decode(vector.scores, vector.centers, vector.thresholds)
+        runs.append((outcomes.results, vector, decisions, rng.bit_generator.state))
+    (results, vector, decisions, state), moved_run = runs
+    moved_results, moved_vector, moved_decisions, moved_state = moved_run
+    assert np.array_equal(moved_results, results)
+    assert moved_state == state
+    for name in ("scores", "centers", "thresholds"):
+        assert np.array_equal(getattr(moved_vector, name)[perm], getattr(vector, name)), name
+    assert np.array_equal(moved_decisions[perm], decisions)
