@@ -42,6 +42,28 @@ def graph_from_pairs(n: int, m: int, gamma: int, pairs) -> PoolingGraph:
     return PoolingGraph(n, m, gamma, np.searchsorted(keys, np.arange(n + 1) * m), keys % m, mult)
 
 
+def one_sided_graph(n: int, m: int, gamma: int, multi: bool, rng) -> PoolingGraph:
+    """A graph whose every query draws ``gamma`` agents and whose agent degrees are free.
+
+    This is the shape of the retired one-sided regular family: simple rows
+    draw without replacement, multi rows with it.  No remaining family makes
+    multi-edges with uneven agent degrees, so tests build it from pairs.
+    """
+    if multi:
+        members = rng.integers(0, n, (m, gamma))
+    else:
+        members = np.argsort(rng.random((m, n)), axis=1)[:, :gamma]
+    pairs = np.column_stack([members.ravel(), np.repeat(np.arange(m), gamma)])
+    return graph_from_pairs(n, m, gamma, pairs)
+
+
+def variant_graph(family: str, multi: bool, n: int, m: int, gamma: int, rng) -> PoolingGraph:
+    """``generate``'s graph of a design family, or a ``one_sided_graph`` for ``one_sided_regular``."""
+    if family == "one_sided_regular":
+        return one_sided_graph(n, m, gamma, multi, rng)
+    return designs.generate(designs.DesignSpec(n, m, gamma, family, multi), rng)
+
+
 def write_edge_list_reference(stream, graph: PoolingGraph, family: str, allow_multi: bool) -> None:
     """The former edge-list writer: one f-string and one ``stream.write`` per edge."""
     multi = "true" if allow_multi else "false"

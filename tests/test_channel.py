@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import graph_from_pairs, naive_noiseless_results, per_read_results, read_bit
+from oracles import (
+    graph_from_pairs,
+    naive_noiseless_results,
+    per_read_results,
+    read_bit,
+    variant_graph,
+)
 from pooledsim.channel import effective_p, run_queries
 from pooledsim.designs import FAMILIES, DesignSpec, generate
 from pooledsim.model import BernoulliPrior, ChannelMatrix, GroundTruth, sample_ground_truth
@@ -120,15 +126,16 @@ def test_run_queries_z_channel_mean():
     assert abs(mean - 4.0) < 0.03
 
 
-VARIANTS = [(f, multi) for f in FAMILIES for multi in (False, True) if f != "bernoulli" or not multi]
+# The one-sided rows add multi-edges under uneven agent degrees (oracles.one_sided_graph).
+VARIANTS = [(f, multi) for f in (*FAMILIES, "one_sided_regular") for multi in (False, True)
+            if f != "bernoulli" or not multi]
 
 
 @pytest.mark.parametrize("s11, s01", [(0.7, 0.0), (0.7, 0.2), (0.95, 0.02)])
 @pytest.mark.parametrize("family, multi", VARIANTS)
 def test_run_queries_results_within_query_multiplicity(family, multi, s11, s01):
     rng = np.random.default_rng(99)
-    spec = DesignSpec(n=30, m=12, gamma=8, family=family, allow_multi=multi)
-    graph = generate(spec, rng)
+    graph = variant_graph(family, multi, 30, 12, 8, rng)
     truth = sample_ground_truth(30, BernoulliPrior(0.5), rng)
     out = run_queries(graph, truth, ChannelMatrix(s11=s11, s01=s01), rng)
     assert (out.results >= 0).all()

@@ -19,6 +19,7 @@ from oracles import (
     same_graph,
     simplify,
     skip_keys_reference,
+    variant_graph,
     write_edge_list_reference,
 )
 from pooledsim.channel import QueryOutcomes, run_queries
@@ -734,6 +735,11 @@ def test_read_edge_list_skips_blank_lines_without_warnings():
             "^doubly_regular agent 2 has degree 0, expected 1 or 2$",
         ),
         ("2 2 1 doubly_regular false\n0 0 1\n0 1 1\n", "^doubly_regular agent 0 has degree 2, expected 1$"),
+        # a file that the retired one-sided degree rule refused is now refused at its header
+        (
+            "3 2 2 one_sided_regular false\n0 0 1\n1 0 1\n1 1 1\n",
+            "^unknown design family 'one_sided_regular'",
+        ),
         ("2 1 2 doubly_regular false\n0 0 1\n5 0 1\n", r"line 3: agent outside 0\.\.1"),
         ("x 1 2 doubly_regular true\n", "malformed header"),
         ("2 1 2 one_sided_regular true\n0 0 1\n", "^unknown design family 'one_sided_regular'"),
@@ -757,7 +763,7 @@ def test_read_edge_list_skips_blank_lines_without_warnings():
     ],
     ids=[
         "no-multi-flag", "empty", "multi-false", "mult-zero", "duplicate", "unsorted", "dr-degree",
-        "dr-agent-degree", "dr-agent-degree-exact",
+        "dr-agent-degree", "dr-agent-degree-exact", "one-sided-degree",
         "agent-range", "header-non-integer", "removed-family", "query-non-integer",
         "mult-non-integer",
         "int64-overflow", "comment", "two-fields", "four-fields", "underscore-digits",
@@ -1000,17 +1006,20 @@ def test_agent_offsets_are_csr(family, multi, n, m, gamma):
     assert spec_back == spec and same_graph(back, graph)
 
 
-@pytest.mark.parametrize("family, multi", sorted(FAMILY_STREAM_IDS))
+# The one-sided rows add multi-edges under uneven agent degrees (oracles.one_sided_graph).
+@pytest.mark.parametrize(
+    "family, multi",
+    sorted(FAMILY_STREAM_IDS) + [("one_sided_regular", False), ("one_sided_regular", True)],
+)
 def test_trial_stages_never_build_the_agent_column(family, multi):
     # The agent column is derived on access and cached; no stage of a trial reads it.
-    spec = DesignSpec(200, 150, 20, family, multi)
     rng = np.random.default_rng(6)
-    graph = generate(spec, rng)
-    truth = sample_ground_truth(spec.n, FixedPrior(4), rng)
+    graph = variant_graph(family, multi, 200, 150, 20, rng)
+    truth = sample_ground_truth(graph.n_agents, FixedPrior(4), rng)
     channel = ChannelMatrix(s11=0.9, s01=0.05)
     outcomes = run_queries(graph, truth, channel, rng)
-    vector = compute_score_vector(graph, outcomes, 0.02, channel, spec.m)
-    assert decode(vector.scores, vector.centers, vector.thresholds).size == spec.n
+    vector = compute_score_vector(graph, outcomes, 0.02, channel, graph.n_queries)
+    assert decode(vector.scores, vector.centers, vector.thresholds).size == graph.n_agents
     assert "edge_agents" not in vars(graph)
     assert graph.edge_agents.size == graph.edge_queries.size
     assert "edge_agents" in vars(graph)
