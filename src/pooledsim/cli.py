@@ -1,8 +1,8 @@
 """Command-line surface: bound calculators, one-shot simulations, figure-style sweeps.
 
-Exit codes: 0 success, 2 invalid flags, config file or environment (a
-:class:`ConfigError`), 3 swap-repair failure or I/O error; any other
-exception is a bug and propagates.  All file output is UTF-8 with LF line
+Exit codes: 0 success, 2 invalid flags or config file (an argparse usage
+error or a :class:`ConfigError`), 3 swap-repair failure or I/O error; any
+other exception is a bug and propagates.  All file output is UTF-8 with LF line
 endings and bit-exact reproducible from the arguments (including the seed).
 """
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .model import BernoulliPrior, ChannelMatrix, FixedPrior
 
 __all__ = ["main", "entrypoint", "ConfigError", "parse_sweep_config", "SweepConfig"]
 
-_WORKERS_ENV = "POOLEDSIM_WORKERS"
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
@@ -54,7 +52,7 @@ CSV_COLUMNS = (
 
 
 class ConfigError(ValueError):
-    """Invalid user input (flags, config file, environment); exit code 2."""
+    """Invalid user input (flags, config file); exit code 2."""
 
 
 @contextmanager
@@ -66,19 +64,6 @@ def _user_input():
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _default_workers() -> int:
-    env = os.environ.get(_WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{_WORKERS_ENV} must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError(f"{_WORKERS_ENV} must be at least 1, got {value}")
-        return value
-    return _usable_cpus()
 
 
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
@@ -112,7 +97,6 @@ def _trial_config(values: dict, design: DesignSpec) -> TrialConfig:
         channel=ChannelMatrix(s11=values.get("s11", 1.0), s01=values.get("s01", 0.0)),
         epsilon=values["epsilon"],
         base_seed=values["seed"],
-        p_for_threshold=values.get("p_for_threshold"),
     )
 
 
@@ -266,7 +250,7 @@ def _parse_families(text: str) -> list[tuple[str, bool]]:
 # the parser of its value.
 _SWEEP_KEYS = {
     "n": int, "k": int, "p": float, "gamma": int, "s11": float, "s01": float,
-    "epsilon": float, "trials": int, "seed": int, "p_for_threshold": float,
+    "epsilon": float, "trials": int, "seed": int,
     "m_grid": _parse_m_grid, "families": _parse_families,
 }
 
@@ -334,7 +318,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     trial, channel = config.trial, config.trial.channel
     # The window's lower bound is highest at the smallest m; its upper bound is fixed.
     _warn_gamma_window(replace(trial.design, m=min(config.m_grid)), trial.resolved_p())
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = args.workers if args.workers is not None else _usable_cpus()
     shared = {
         "n": trial.design.n, "gamma": trial.design.gamma, "seed": trial.base_seed,
         "s11": channel.s11, "s01": channel.s01,
@@ -400,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_args(sim)
     sim.add_argument("--k", type=int, default=None, help="fixed number of one-bits")
     sim.add_argument("--p", type=float, default=None, help="Bernoulli prior probability")
-    sim.add_argument("--p-threshold", type=float, default=None, dest="p_for_threshold")
     sim.add_argument("--eps", type=float, required=True, dest="epsilon")
     sim.add_argument("--trial-index", type=int, default=0)
     sim.add_argument("--dump-scores", action="store_true")
@@ -414,14 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help=f"worker processes (default: ${_WORKERS_ENV} or the usable CPU count)",
+        help="worker processes (default: the usable CPU count)",
     )
     sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --help and --version
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

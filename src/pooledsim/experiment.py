@@ -121,9 +121,9 @@ class TrialConfig:
     """Everything a trial needs except the query count and trial index.
 
     ``design`` acts as a template: run_trial overrides its m, and run_sweep
-    additionally overrides family and allow_multi per sweep point.  Under a
-    fixed-k prior the decoder's p defaults to k/n unless ``p_for_threshold``
-    is given explicitly.
+    additionally overrides family and allow_multi per sweep point.  The
+    decoder's p is the prior's: k/n under a fixed-k prior, p under a
+    Bernoulli prior.
     """
 
     design: DesignSpec
@@ -131,7 +131,6 @@ class TrialConfig:
     channel: ChannelMatrix
     epsilon: float
     base_seed: int
-    p_for_threshold: float | None = None
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon)
@@ -143,8 +142,6 @@ class TrialConfig:
             raise ValueError(f"decoder prior must lie in (0, 1), resolved to {p}")
 
     def resolved_p(self) -> float:
-        if self.p_for_threshold is not None:
-            return self.p_for_threshold
         if isinstance(self.prior, FixedPrior):
             return self.prior.k / self.design.n
         return self.prior.p

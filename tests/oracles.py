@@ -180,7 +180,7 @@ def parse_sweep_config_reference(text: str):
     """
     readers = {
         "n": int, "k": int, "gamma": int, "trials": int, "seed": int,
-        "p": float, "s11": float, "s01": float, "epsilon": float, "p_for_threshold": float,
+        "p": float, "s11": float, "s01": float, "epsilon": float,
         "m_grid": _m_grid_reference, "families": _families_reference,
     }
     raw, values = {}, {}
@@ -213,9 +213,7 @@ def parse_sweep_config_reference(text: str):
         raise ValueError("exactly one of k and p must be set")
     prior = FixedPrior(values["k"]) if "k" in values else BernoulliPrior(values["p"])
     channel = ChannelMatrix(values.get("s11", 1.0), values.get("s01", 0.0))
-    trial = TrialConfig(
-        specs[0], prior, channel, values["epsilon"], values["seed"], values.get("p_for_threshold")
-    )
+    trial = TrialConfig(specs[0], prior, channel, values["epsilon"], values["seed"])
     if values["trials"] < 1:
         raise ValueError(f"trials must be at least 1, got {values['trials']}")
     return trial, m_grid, families, values["trials"], raw

@@ -98,7 +98,7 @@ def soundness_failure_upper(channel, seed):
     """Wilson-95 upper bound on the eps-recovery failure rate at m = m_min.
 
     Protocol per the simulation chapter: the number of one-bits is fixed to
-    n * p for reproducibility and the decoder is parameterized by p.
+    n * p for reproducibility, so the decoder's p, which is k/n, is exactly p.
     """
     n, p, eps, delta, gamma = 10**4, 0.01, 0.1, 0.1, 500
     bound_report = required_queries(n, p, eps, delta, channel)
@@ -111,7 +111,6 @@ def soundness_failure_upper(channel, seed):
         channel=channel,
         epsilon=eps,
         base_seed=seed,
-        p_for_threshold=p,
     )
     trials = 200
     # Trials are independent and seeded by index, so a pool changes no result.

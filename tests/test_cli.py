@@ -8,7 +8,7 @@ import pytest
 
 import pooledsim.cli
 import pooledsim.designs
-from pooledsim.cli import _default_workers, _write_atomic, main, parse_sweep_config, ConfigError
+from pooledsim.cli import _write_atomic, main, parse_sweep_config, ConfigError
 from pooledsim.designs import DesignSpec, SimplificationError, read_edge_list
 
 
@@ -103,12 +103,28 @@ def test_generate_rejects_invalid_spec(tmp_path, capsys):
 
 def test_generate_rejects_the_removed_family(tmp_path, capsys):
     out = tmp_path / "x.edges"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["generate", "--n", "4", "--m", "2", "--gamma", "2",
-              "--family", "one_sided_regular", "--seed", "1", "--output", str(out)])
-    assert excinfo.value.code == 2
+    code = main(["generate", "--n", "4", "--m", "2", "--gamma", "2",
+                 "--family", "one_sided_regular", "--seed", "1", "--output", str(out)])
+    assert code == 2
     assert "invalid choice: 'one_sided_regular'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generate_rejects_a_missing_required_flag(tmp_path, capsys):
+    out = tmp_path / "x.edges"
+    code = main(["generate", "--n", "4", "--m", "2", "--gamma", "2",
+                 "--family", "bernoulli", "--output", str(out)])
+    assert code == 2
+    assert "the following arguments are required: --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_version_prints_the_version_and_returns_zero(capsys):
+    code = main(["--version"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == f"pooledsim {pooledsim.__version__}\n"
+    assert captured.err == ""
 
 
 # ----------------------------------------------------------------- simulate
@@ -222,27 +238,16 @@ def test_sweep_rejects_conflicting_priors(tmp_path, capsys):
     assert code == 2
 
 
-def test_default_workers_env_then_affinity_then_cpu_count(monkeypatch):
+def test_sweep_default_workers_are_affinity_then_cpu_count(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    monkeypatch.delenv("POOLEDSIM_WORKERS", raising=False)
-    assert _default_workers() == 2
-    monkeypatch.setenv("POOLEDSIM_WORKERS", "3")
-    assert _default_workers() == 3
-    monkeypatch.delenv("POOLEDSIM_WORKERS")
+    seen = []
+    monkeypatch.setattr(pooledsim.cli, "run_sweep", lambda *_, workers: seen.append(workers) or [])
+    argv = ["sweep", "--config", str(write_config(tmp_path)), "--output", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert _default_workers() == 7
-
-
-@pytest.mark.parametrize("value", ["x", "0"])
-def test_sweep_rejects_bad_workers_env(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("POOLEDSIM_WORKERS", value)
-    cfg = write_config(tmp_path)
-    out = tmp_path / "x.csv"
-    code = main(["sweep", "--config", str(cfg), "--output", str(out)])
-    assert code == 2
-    assert "POOLEDSIM_WORKERS" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(argv) == 0
+    assert seen == [2, 7]
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -549,8 +554,25 @@ def test_sweep_rejects_any_family_that_does_not_fit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_rejects_the_removed_threshold_prior(capsys):
+    code = main(simulate_args(["--p-threshold", "0.1"]))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --p-threshold 0.1" in captured.err
+
+
+def test_sweep_rejects_the_removed_threshold_prior_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, SWEEP_CONFIG + "p_for_threshold = 0.2\n")
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", str(cfg), "--output", str(out)])
+    assert code == 2
+    assert "line 12: unknown key 'p_for_threshold'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_more_ones_than_agents(capsys):
-    code = main(simulate_args(["--k", "500", "--p-threshold", "0.1"]))
+    code = main(simulate_args(["--k", "500"]))
     assert code == 2
     assert "fixed one-count 500 exceeds n=100" in capsys.readouterr().err
 

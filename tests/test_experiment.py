@@ -203,13 +203,11 @@ def test_run_trial_detailed_exposes_arrays():
     assert detail.truth.ones == 5
 
 
-def test_run_trial_p_for_threshold_defaults_to_k_over_n():
+def test_resolved_p_is_the_prior_p():
     config = make_config()
     assert config.resolved_p() == pytest.approx(0.05)
-    config2 = make_config(p_for_threshold=0.02)
-    assert config2.resolved_p() == pytest.approx(0.02)
-    config3 = make_config(prior=BernoulliPrior(0.07))
-    assert config3.resolved_p() == pytest.approx(0.07)
+    config2 = make_config(prior=BernoulliPrior(0.07))
+    assert config2.resolved_p() == pytest.approx(0.07)
 
 
 def test_trial_config_rejects_degenerate_priors():

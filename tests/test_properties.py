@@ -1,5 +1,6 @@
 """Property tests over small random designs: edge-list round trip, repair invariants,
-and the decoding and recovery stages against per-agent loops and under agent relabelling.
+and the decoding and recovery stages against per-agent loops and under agent and query
+relabelling.
 
 ``derandomize`` makes every run draw the same examples, and ``database=None``
 keeps Hypothesis from writing a ``.hypothesis/`` directory.
@@ -296,8 +297,9 @@ def test_score_vector_and_recovery_match_per_agent_loops(spec, seed, p, channel,
 
 
 @st.composite
-def relabelled_graphs(draw, max_n=12, max_m=8):
-    """A listed graph, a truth on its agents, and a permutation of the agents.
+def relabelled_graphs(draw, axis=0, max_n=12, max_m=8):
+    """A listed graph, a truth on its agents, and a permutation of its agents (``axis=0``)
+    or of its queries (``axis=1``).
 
     The pairs may repeat (multi-edges) and leave any agent edgeless, the
     first and the last included; gamma may equal n.
@@ -307,7 +309,7 @@ def relabelled_graphs(draw, max_n=12, max_m=8):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=40))
     graph = graph_from_pairs(n, m, draw(st.integers(1, n)), pairs)
     bits = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
-    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    perm = np.array(draw(st.permutations(range((n, m)[axis]))), dtype=np.int64)
     return graph, bits, perm
 
 
@@ -347,3 +349,32 @@ def test_relabelling_agents_permutes_scores_and_decisions(
     for name in ("scores", "centers", "thresholds"):
         assert np.array_equal(getattr(moved_vector, name)[perm], getattr(vector, name)), name
     assert np.array_equal(moved_decisions[perm], decisions)
+
+
+@reproducible
+@given(
+    relabelled=relabelled_graphs(axis=1),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.05, 0.95),
+    extra_queries=st.integers(1, 200),
+)
+def test_relabelling_queries_permutes_results_and_keeps_scores(relabelled, seed, p, extra_queries):
+    # Query q of the graph is query perm[q] of the moved graph.  Under the
+    # identity channel a result is its query's one-count whatever the draws.
+    graph, bits, perm = relabelled
+    n, m = graph.n_agents, graph.n_queries
+    channel = ChannelMatrix.identity()
+    moved_pairs = np.column_stack([graph.edge_agents, perm[graph.edge_queries]])
+    moved = graph_from_pairs(n, m, graph.gamma, np.repeat(moved_pairs, graph.edge_mult, axis=0))
+    m_decode = math.floor(math.log(1 / p) / rate_constant(n, p, channel)) + extra_queries
+    runs = []
+    for g in (graph, moved):
+        outcomes = run_queries(g, GroundTruth(bits), channel, np.random.default_rng(seed))
+        vector = compute_score_vector(g, outcomes, p, channel, m_decode)
+        decisions = decode(vector.scores, vector.centers, vector.thresholds)
+        runs.append((outcomes.results, vector, decisions))
+    (results, vector, decisions), (moved_results, moved_vector, moved_decisions) = runs
+    assert np.array_equal(moved_results[perm], results)
+    for name in ("scores", "centers", "thresholds"):
+        assert np.array_equal(getattr(moved_vector, name), getattr(vector, name)), name
+    assert np.array_equal(moved_decisions, decisions)

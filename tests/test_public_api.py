@@ -1,4 +1,5 @@
 """The package's public names: what the README and the benchmark call, and who uses them."""
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -8,6 +9,7 @@ import re
 from pathlib import Path
 
 import pooledsim
+import pooledsim.cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -100,6 +102,28 @@ def test_every_public_name_has_a_user_outside_the_tests():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", outside)
     ]
     assert test_only == [], "public names that only the tests use"
+
+
+def _cli_settings():
+    """Every option string of the parser and its subcommands but ``-h``/``--help``, and every
+    sweep-config key as ``key =``."""
+    parser = pooledsim.cli.build_parser()
+    subcommands = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    for command in (parser, *subcommands.choices.values()):
+        for action in command._actions:
+            yield from (opt for opt in action.option_strings if opt not in ("-h", "--help"))
+    yield from (f"{key} =" for key in pooledsim.cli._SWEEP_KEYS)
+
+
+def test_every_cli_setting_is_in_the_readme():
+    readme = README.read_text(encoding="utf-8")
+    undocumented = {
+        setting for setting in _cli_settings()
+        if not re.search(rf"(?<![\w-]){re.escape(setting)}(?![\w-])", readme)
+    }
+    assert undocumented == set(), "flags or sweep-config keys that the README never names"
 
 
 def _benchmark_imports() -> set[tuple[str, tuple[str, ...]]]:
