@@ -1,9 +1,10 @@
 """Command-line surface: bound calculators, one-shot simulations, figure-style sweeps.
 
-Exit codes: 0 success, 2 invalid flags or config file (an argparse usage
-error or a :class:`ConfigError`), 3 swap-repair failure or I/O error; any
-other exception is a bug and propagates.  All file output is UTF-8 with LF line
-endings and bit-exact reproducible from the arguments (including the seed).
+Exit codes: 0 success, 2 invalid flags or config file (an argparse usage error or a
+:class:`ConfigError`), 3 I/O error or swap-repair failure in ``generate`` (``simulate``
+and ``sweep`` tag such a trial instead); any other exception is a bug and propagates.
+All file output is UTF-8 with LF line endings and bit-exact reproducible from the
+arguments (including the seed).
 """
 from __future__ import annotations
 

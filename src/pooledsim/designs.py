@@ -249,7 +249,8 @@ def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.nd
     stubs reshape into the ``(m, gamma)`` member matrix of the queries.
     Without ``allow_multi`` that matrix is repaired in place with
     double-edge swaps (see :func:`_repair_slots`), which may raise
-    :class:`SimplificationError`.
+    :class:`SimplificationError`; it meets the repair's precondition, as gamma <= n
+    (see :class:`DesignSpec`) keeps each agent at ``ceil(m * gamma / n) <= m`` stubs.
     """
     base, extra = divmod(spec.m * spec.gamma, spec.n)
     degrees = np.full(spec.n, base, dtype=np.int64)
@@ -294,6 +295,8 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
     {(u, b), (v, a)} when that makes no new duplicate, in batches whose
     conflicting swaps are retried; both degree vectors stay fixed.  Raises
     SimplificationError after ``_MAX_SWAP_FACTOR * m * gamma`` attempted swaps.
+    Unchecked precondition: no row holds more than ``n_agents`` slots and no
+    agent more than m; otherwise no simple graph exists and that error is sure.
 
     ``members`` must be a C-contiguous int64 array, and stays one.  Flat slot
     ``i`` is query ``i // gamma``.  Surplus copies are the repeats of an agent
@@ -314,11 +317,6 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
     So the overlay is probed once per batch, and no pair is recounted.
     """
     n_queries, gamma = members.shape
-    if gamma > n_agents:
-        raise ValueError("a query with more edges than agents cannot be made simple")
-    if int(np.bincount(members.ravel(), minlength=n_agents).max(initial=0)) > n_queries:
-        raise ValueError("an agent with more edges than queries cannot be made simple")
-
     agents = members.reshape(-1)  # a view: swaps write through to members
     total = agents.size
     key = _key_dtype(n_agents, n_queries, gamma)

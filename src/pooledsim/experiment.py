@@ -164,7 +164,7 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class TrialDetail:
-    """TrialResult plus the per-agent arrays, for single-trial inspection."""
+    """TrialResult plus the per-agent arrays, all None if the trial ended before decoding."""
 
     result: TrialResult
     truth: GroundTruth

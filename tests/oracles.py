@@ -327,7 +327,8 @@ def simplify(graph: PoolingGraph, rng: np.random.Generator) -> PoolingGraph:
     member matrix, with each query's agents in ascending order, and repaired
     by the same row-wise routine as the doubly regular generator.  The matrix
     needs every query to have the same degree; a non-simple graph whose query
-    degrees differ raises ValueError.
+    degrees differ raises ValueError.  A graph that no simple graph with its
+    degrees fits raises SimplificationError once the swap budget is spent.
     """
     if is_simple(graph):
         return graph
@@ -577,7 +578,6 @@ def _multiset_counts(base_sorted: np.ndarray, delta: dict[int, int], keys: np.nd
 def repair_slots_reference(
     slot_agent: np.ndarray,
     slot_query: np.ndarray,
-    n_agents: int,
     n_queries: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -586,13 +586,10 @@ def repair_slots_reference(
     The original implementation of ``designs._repair_slots``, kept as the
     slow path the row-wise repair must match: same agent column, same number
     of draws from ``rng``.  It reads the attempt budget factor from
-    ``pooledsim.designs`` so a monkeypatched budget applies to both.
+    ``pooledsim.designs`` so a monkeypatched budget applies to both.  Like
+    the fast path it does not check its precondition: input that no simple
+    graph fits spends the budget and raises SimplificationError.
     """
-    if int(np.bincount(slot_query, minlength=n_queries).max(initial=0)) > n_agents:
-        raise ValueError("a query with more edges than agents cannot be made simple")
-    if int(np.bincount(slot_agent, minlength=n_agents).max(initial=0)) > n_queries:
-        raise ValueError("an agent with more edges than queries cannot be made simple")
-
     slot_agent = slot_agent.copy()
     total = slot_agent.size
     m = np.int64(n_queries)

@@ -8,6 +8,7 @@ import pytest
 
 import pooledsim.cli
 import pooledsim.designs
+import pooledsim.experiment
 from pooledsim.cli import _write_atomic, main, parse_sweep_config, ConfigError
 from pooledsim.designs import DesignSpec, SimplificationError, read_edge_list
 
@@ -80,10 +81,11 @@ def test_generate_deterministic_bytes_and_round_trip(tmp_path):
     assert int(graph.edge_mult.sum()) == 4
 
 
-def test_generate_simplification_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
-    def explode(*args, **kwargs):
-        raise SimplificationError("forced for the test")
+def explode(*args, **kwargs):
+    raise SimplificationError("forced for the test")
 
+
+def test_generate_simplification_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pooledsim.designs, "_repair_slots", explode)
     out_path = tmp_path / "never.edges"
     code = main(["generate", "--n", "10", "--m", "5", "--gamma", "4",
@@ -153,6 +155,35 @@ def test_simulate_dump_scores_shapes(capsys):
     assert len(report["centers"]) == 100
     assert len(report["thresholds"]) == 100
     assert len(report["estimate"]) == 100
+
+
+def recipe_args(m):
+    """simulate at the README recipe (n = 1000, k = 6, gamma = 100), with every array dumped."""
+    return ["simulate", "--n", "1000", "--m", str(m), "--gamma", "100",
+            "--family", "doubly_regular", "--k", "6", "--eps", "0.25", "--seed", "7",
+            "--s11", "0.8", "--s01", "0", "--dump-scores"]
+
+
+def assert_ended_before_decoding(report, failure):
+    assert report["trial"]["failure"] == failure
+    assert report["recovery"]["eps_ok"] is False
+    for name in ("scores", "centers", "thresholds", "estimate"):
+        assert report[name] is None
+
+
+def test_simulate_reports_an_undefined_threshold(capsys):
+    # m = 10 is below m_floor, so the trial ends before the design is built
+    with pytest.warns(UserWarning, match="admissibility window"):
+        code = main(recipe_args(10))
+    assert code == 0
+    assert_ended_before_decoding(json.loads(capsys.readouterr().out), "threshold_undefined")
+
+
+def test_simulate_reports_a_repair_failure_and_exits_zero(monkeypatch, capsys):
+    # exit 3 is generate's: simulate tags the trial instead
+    monkeypatch.setattr(pooledsim.experiment, "generate", explode)
+    assert main(recipe_args(300)) == 0
+    assert_ended_before_decoding(json.loads(capsys.readouterr().out), "simplification_failed")
 
 
 def test_simulate_identical_json(capsys):

@@ -260,7 +260,16 @@ def test_parse_sweep_config_matches_reference_parser(text):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_repaired_doubly_regular_design_invariants(spec, seed):
-    graph = generate(spec, np.random.default_rng(seed))
+    repair = pooledsim.designs._repair_slots
+
+    def checked_repair(members, n_agents, rng):
+        # the precondition the repair does not check itself
+        assert members.shape[1] <= n_agents
+        assert np.bincount(members.ravel(), minlength=n_agents).max() <= members.shape[0]
+        return repair(members, n_agents, rng)
+
+    with mock.patch.object(pooledsim.designs, "_repair_slots", checked_repair):
+        graph = generate(spec, np.random.default_rng(seed))
     assert (graph.query_degrees == spec.gamma).all()
     degrees = graph.agent_degrees
     assert int(degrees.sum()) == spec.m * spec.gamma
