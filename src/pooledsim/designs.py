@@ -8,11 +8,12 @@ on-disk edge-list format.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -32,7 +33,8 @@ FAMILIES = ("bernoulli", "doubly_regular")
 
 _MAX_SWAP_FACTOR = 100
 _MAX_OVERLAY_FRACTION = 0.01  # swap repair rebuilds its pair index past this overlay share
-_EDGE_LIST_CHUNK = 65_536  # lines per chunk of the edge-list writer and reader
+_EDGE_LIST_CHUNK = 65_536  # edges per edge-list write, and items per block of a non-stream input
+_EDGE_LIST_BLOCK = 1 << 18  # characters per read of an edge-list stream
 
 
 class SimplificationError(RuntimeError):
@@ -397,13 +399,19 @@ def write_edge_list(stream: IO[str], graph: PoolingGraph, family: str, allow_mul
     Header line is ``n m gamma family multi``; every following line is an
     ``agent query multiplicity`` triple in lexicographic order, in decimal
     without padding.  The triples are formatted in numpy, one chunk of
-    ``_EDGE_LIST_CHUNK`` edges and one ``stream.write`` at a time.
+    ``_EDGE_LIST_CHUNK`` edges and one ``stream.write`` at a time; each
+    chunk's agents are expanded from the offsets.
     """
     multi = "true" if allow_multi else "false"
     stream.write(f"{graph.n_agents} {graph.n_queries} {graph.gamma} {family} {multi}\n")
-    columns = (graph.edge_agents, graph.edge_queries, graph.edge_mult)
-    for start in range(0, len(graph.edge_mult), _EDGE_LIST_CHUNK):
-        stream.write(_edge_lines([col[start : start + _EDGE_LIST_CHUNK] for col in columns]))
+    starts, edges = graph.agent_starts, len(graph.edge_mult)
+    for start in range(0, edges, _EDGE_LIST_CHUNK):
+        stop = min(start + _EDGE_LIST_CHUNK, edges)
+        # Agents first..end - 1 hold the chunk's edges, each its segment clipped to the chunk.
+        first, end = np.searchsorted(starts, start, "right") - 1, np.searchsorted(starts, stop)
+        counts = np.diff(starts[first : end + 1].clip(start, stop))
+        columns = (graph.edge_queries[start:stop], graph.edge_mult[start:stop])
+        stream.write(_edge_lines([np.repeat(np.arange(first, end), counts), *columns]))
 
 
 def _edge_lines(columns: list[np.ndarray]) -> str:
@@ -431,15 +439,22 @@ def _edge_lines(columns: list[np.ndarray]) -> str:
 def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     """Parse the canonical edge-list format back into a spec and graph.
 
-    Each line is stripped, so CRLF ends and blank or whitespace-only lines are
-    accepted; any other departure from what :func:`write_edge_list` writes raises ValueError.
+    A text stream (an object with ``read``) gives its header by ``readline``
+    and its body by ``read`` in blocks of ``_EDGE_LIST_BLOCK`` characters,
+    split into lines at ``\\n`` only.  Any other iterable gives one line per
+    item.  Leading and trailing whitespace of a line is ignored, so CRLF ends
+    and blank or whitespace-only lines are accepted; any other departure from
+    what :func:`write_edge_list` writes raises ValueError.
     """
-    it = iter(lines)
-    header = next(it, None)
+    if hasattr(lines, "read"):
+        header, blocks = lines.readline() or None, _read_blocks(lines)
+    else:
+        lines = iter(lines)
+        header, blocks = next(lines, None), _join_blocks(lines)
     if header is None:
         raise ValueError("empty edge-list input")
     fields = header.split()
-    sizes = _rows([" ".join(fields[:3])]) if len(fields) == 5 else None  # the body's integers
+    sizes = _rows(" ".join(fields[:3])) if len(fields) == 5 else None  # the body's integers
     if sizes is None:
         raise ValueError(f"malformed header {header!r}, expected 'n m gamma family multi'")
     (n, m, gamma), (family, flag) = sizes[0].tolist(), fields[3:]
@@ -447,54 +462,51 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
         raise ValueError(f"malformed multi flag {flag!r}, expected 'true' or 'false'")
     allow_multi = flag == "true"
     spec = DesignSpec(n=n, m=m, gamma=gamma, family=family, allow_multi=allow_multi)
-    # Only the non-blank lines are parsed, one chunk of lines at a time, and a
-    # chunk's strings are dropped once it parses: the i-th non-blank line,
-    # like edge i, is on file line np.flatnonzero(nonblank)[i] + 2.
-    nonblank = bytearray()
-    parts = []
-    edges = 0
-    while True:
-        chunk = list(map(str.strip, islice(it, _EDGE_LIST_CHUNK)))
-        last = len(chunk) < _EDGE_LIST_CHUNK
-        nonblank += bytes(map(bool, chunk))
-        if not all(chunk):
-            chunk = list(filter(None, chunk))
-        rows = _rows(chunk)
+
+    broken = [None] * 6  # the message of each rule's first break, in rule order
+    parts = [np.empty((3, 0), dtype=np.int64)]
+    line = 2  # file line of the block's first line
+    for block in blocks:
+        rows = _rows(block)
         if rows is None:
-            # Each line parses or not on its own, so bisect: chunk[lo:hi] holds the first bad line.
-            lo, hi = 0, len(chunk)
+            # Each line parses or not on its own, so bisect: texts[lo:hi] holds the first bad line.
+            texts = block.split("\n")
+            lo, hi = 0, len(texts)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if _rows(chunk[lo:mid]) is None else (mid, hi)
-            line = np.flatnonzero(np.frombuffer(nonblank, dtype=bool))[edges + lo] + 2
+                lo, hi = (lo, mid) if _rows("\n".join(texts[lo:mid])) is None else (mid, hi)
+            line += lo
             raise ValueError(f"line {line}: expected an integer 'agent query multiplicity' triple")
-        del chunk
-        parts.append(rows.T)
-        edges += len(rows)
-        if last:
-            break
-    nonblank = np.frombuffer(nonblank, dtype=bool)
-    agent_arr, query_arr, mult_arr = np.concatenate(parts, axis=1)
-    del parts
+        if len(rows):
+            agent, query, mult = rows.T
+            # Each edge against the one before it; the first edge steps by 1.
+            before = parts[-1][:, -1] if len(parts) > 1 else rows[0] - 1
+            step_a = np.diff(agent, prepend=before[0])
+            step_q = np.diff(query, prepend=before[1])
+            rules = [
+                (f"agent outside 0..{n - 1}", (agent < 0) | (agent >= n)),
+                (f"query outside 0..{m - 1}", (query < 0) | (query >= m)),
+                ("multiplicity must be at least 1", mult < 1),
+                ("multiplicity above 1 under multi=false", (mult > 1) & (not allow_multi)),
+                ("repeats the line before", (step_a == 0) & (step_q == 0)),
+                ("precedes the line before", (step_a < 0) | ((step_a == 0) & (step_q < 0))),
+            ]
+            for i, (rule, bad) in enumerate(rules):
+                if broken[i] is None and bad.any():
+                    nonblank = [j for j, text in enumerate(block.split("\n")) if text.strip()]
+                    broken[i] = f"line {line + nonblank[np.argmax(bad)]}: {rule}"
+            parts.append(rows.T)
+        line += block.count("\n")
+    if any(broken):
+        raise ValueError(next(filter(None, broken)))
 
-    # Each edge against the one before it; the first edge steps by 1.
-    step_a = np.diff(agent_arr, prepend=agent_arr[:1] - 1)
-    step_q = np.diff(query_arr, prepend=query_arr[:1] - 1)
-    rules = [
-        (f"agent outside 0..{n - 1}", (agent_arr < 0) | (agent_arr >= n)),
-        (f"query outside 0..{m - 1}", (query_arr < 0) | (query_arr >= m)),
-        ("multiplicity must be at least 1", mult_arr < 1),
-        ("multiplicity above 1 under multi=false", (mult_arr > 1) & (not allow_multi)),
-        ("repeats the line before", (step_a == 0) & (step_q == 0)),
-        ("precedes the line before", (step_a < 0) | ((step_a == 0) & (step_q < 0))),
-    ]
-    for rule, bad in rules:
-        if bad.any():
-            line = np.flatnonzero(nonblank)[np.argmax(bad)] + 2
-            raise ValueError(f"line {line}: {rule}")
-
-    # The rules above make the triples canonical: agent-major segments, split once here.
+    # The rules above make the triples canonical: agent-major segments, split
+    # once here.  The agent column goes before the other two are built.
+    agent_arr = np.concatenate([part[0] for part in parts])
     starts = np.searchsorted(agent_arr, np.arange(n + 1))
+    del agent_arr
+    query_arr, mult_arr = (np.concatenate([part[i] for part in parts]) for i in (1, 2))
+    del parts
     graph = PoolingGraph(n, m, gamma, starts, query_arr, mult_arr)
     # No degree passes int64 when E times the largest multiplicity does not.
     if mult_arr.size and mult_arr.max() > np.iinfo(np.int64).max // mult_arr.size:
@@ -529,15 +541,52 @@ def _check_degrees_fit(graph: PoolingGraph) -> None:
             raise ValueError(f"{end} {over[0]} has degree {degree}, above the int64 maximum")
 
 
-def _rows(lines: list[str]) -> np.ndarray | None:
-    """``(E, 3)`` int64 rows of non-blank ``lines``; None unless each is three int64s."""
-    if not lines:  # loadtxt warns on an input without data
+def _read_blocks(stream: IO[str]) -> Iterator[str]:
+    """The rest of ``stream`` as blocks of whole lines, each line ending at ``\\n``.
+
+    Each ``read`` of ``_EDGE_LIST_BLOCK`` characters is cut after its last
+    ``\\n``, and the rest is carried into the next block; only the last block
+    may end without one.
+    """
+    rest = ""
+    while text := stream.read(_EDGE_LIST_BLOCK):
+        text = rest + text
+        cut = text.rfind("\n") + 1
+        rest = text[cut:]
+        if cut:
+            yield text[:cut]
+    if rest:
+        yield rest
+
+
+def _join_blocks(items: Iterator[str]) -> Iterator[str]:
+    """Blocks of ``_EDGE_LIST_CHUNK`` stripped items, one line each.
+
+    An item's inner ``\\n`` becomes a ``\\r``, so that the item stays one
+    line and fails to parse like any other line with an inner ``\\r``.
+    """
+    while chunk := list(map(str.strip, islice(items, _EDGE_LIST_CHUNK))):
+        chunk.append("")  # the block's last line ends at a \n too
+        text = "\n".join(chunk)
+        if text.count("\n") >= len(chunk):
+            text = "\n".join(item.replace("\n", "\r") for item in chunk)
+        yield text
+
+
+def _rows(text: str) -> np.ndarray | None:
+    """``(E, 3)`` int64 rows of the non-blank lines of ``text``; None unless each is 3 int64s."""
+    if not text or text.isspace():  # loadtxt warns on an input without data
         return np.empty((0, 3), dtype=np.int64)
+    # loadtxt takes a \r only in a CRLF end; any other \r must be leading or trailing whitespace
+    if "\r" in text and text.count("\r") > text.count("\r\n"):
+        text = "\n".join(map(str.strip, text.split("\n")))
+        if "\r" in text:
+            return None
     # loadtxt reads some non-ASCII letters as digits, so only the whitespace may be non-ASCII
-    if not all(map(str.isascii, lines)) and not all("".join(x.split()).isascii() for x in lines):
+    if not text.isascii() and not "".join(text.split()).isascii():
         return None
-    try:  # comments=None: '#' is a bad field; max_rows (never reached) presizes the rows
-        rows = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2, max_rows=len(lines))
+    try:  # comments=None: '#' is a bad field
+        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
         return None
     return rows if rows.shape[1] == 3 else None

@@ -6,9 +6,9 @@ changing the worker count never perturbs existing trials.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -280,7 +280,7 @@ def _map_trials(fn: Callable, tasks: Sequence, workers: int) -> list:
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
 
 

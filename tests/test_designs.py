@@ -806,8 +806,10 @@ def test_edge_list_locates_each_bad_line(field, message):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_edge_list_locates_bad_lines_at_chunk_edges(monkeypatch, chunk):
-    # Chunks of 1 to 3 lines put every body line and every blank line on a chunk edge.
+    # Stream reads of 1 to 3 characters put every body line and every blank
+    # line on a block edge, and split the lines themselves.
     monkeypatch.setattr(pooledsim.designs, "_EDGE_LIST_CHUNK", chunk)
+    monkeypatch.setattr(pooledsim.designs, "_EDGE_LIST_BLOCK", chunk)
     for field, message in LOCATOR_FIELDS:
         assert_locates_each_bad_short_line(field, message)
     kept = [i for i, line in enumerate(LOCATOR_BODY) if line and line.strip()]
@@ -824,6 +826,7 @@ def test_edge_list_locates_bad_lines_at_chunk_edges(monkeypatch, chunk):
 @pytest.mark.parametrize("family, multi", sorted(FAMILY_STREAM_IDS))
 def test_edge_list_round_trip_at_chunk_edges(monkeypatch, chunk, family, multi):
     monkeypatch.setattr(pooledsim.designs, "_EDGE_LIST_CHUNK", chunk)
+    monkeypatch.setattr(pooledsim.designs, "_EDGE_LIST_BLOCK", chunk)
     spec = DesignSpec(7, 5, 3, family, multi)
     graph = generate(spec, np.random.default_rng(chunk))
     lines = edge_list_lines(write_edge_list, graph, family, multi)
@@ -833,6 +836,43 @@ def test_edge_list_round_trip_at_chunk_edges(monkeypatch, chunk, family, multi):
         spec_back, graph_back = read_edge_list(io.StringIO(body))
         assert spec_back == spec
         assert same_graph(graph_back, graph)
+
+
+def test_edge_list_stream_is_read_in_bounded_blocks():
+    # 200,000 edges, about 2 MB of text: the body must come in more than one
+    # bounded read, and no line may be iterated.
+    n, m = 200, 1000
+    graph = PoolingGraph(
+        n, m, n, np.arange(n + 1) * m, np.tile(np.arange(m), n), np.ones(n * m, dtype=np.int64)
+    )
+    reads = []
+
+    class BlockStream(io.StringIO):
+        def read(self, size=-1):
+            text = super().read(size)
+            reads.append((size, len(text)))
+            return text
+
+        def __next__(self):
+            raise AssertionError("a line of the stream was iterated")
+
+    stream = BlockStream()
+    write_edge_list(stream, graph, "doubly_regular", False)
+    stream.seek(0)
+    spec, graph_back = read_edge_list(stream)
+    assert spec == DesignSpec(n, m, n, "doubly_regular")
+    assert same_graph(graph_back, graph)
+    assert all(size == pooledsim.designs._EDGE_LIST_BLOCK for size, _ in reads)
+    assert sum(1 for _, length in reads if length) > 1
+
+
+def test_edge_list_stream_lines_end_at_newline_only():
+    # A stream opened with newline='' keeps lone \r line ends, which are no line ends here.
+    text = "2 1 2 doubly_regular true\r0 0 1\r1 0 1\r"
+    with pytest.raises(ValueError, match="^line 2: expected an integer"):
+        read_edge_list(io.StringIO(text, newline=""))
+    spec, _ = read_edge_list(io.StringIO(text.replace("\r", "\r\n"), newline=""))
+    assert spec == DesignSpec(2, 1, 2, "doubly_regular", True)
 
 
 def test_edge_list_degrees_are_exact_int64():

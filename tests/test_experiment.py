@@ -1,3 +1,9 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -287,12 +293,24 @@ def test_run_sweep_pool_has_no_more_workers_than_tasks(monkeypatch, trials, pool
 
     config = make_config()
     serial = run_sweep(config, [100], [("doubly_regular", False)], trials_per_point=trials)
-    monkeypatch.setattr(pooledsim.experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     capped = run_sweep(
         config, [100], [("doubly_regular", False)], trials_per_point=trials, workers=5000
     )
     assert pools == ([] if pool_size is None else [pool_size])
     assert capped == serial
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a sweep over more than one worker needs the pool's modules; every
+    # other process would pay for importing them.
+    src = Path(pooledsim.experiment.__file__).resolve().parents[1]
+    pool_modules = "{'concurrent.futures.process', 'multiprocessing'}"
+    code = f"import sys, pooledsim.cli; print(sorted({pool_modules} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_sweep_adding_grid_points_keeps_existing_trials():

@@ -164,12 +164,18 @@ def parse_outcome(parse, lines):
 
 
 @settings(reproducible, max_examples=500)
-@given(lines=mutated_edge_lists(), chunk=st.integers(1, 3))
-def test_read_edge_list_matches_reference_parser(lines, chunk):
+@given(lines=mutated_edge_lists(), chunk=st.integers(1, 3), block=st.integers(1, 8))
+def test_read_edge_list_matches_reference_parser(lines, chunk, block):
     # Chunks of 1 to 3 lines put the mutations on chunk edges.
     with mock.patch.object(pooledsim.designs, "_EDGE_LIST_CHUNK", chunk):
         got = parse_outcome(read_edge_list, lines)
     assert got == parse_outcome(read_edge_list_reference, lines)
+    # The same text as a stream, read a few characters at a time, so that
+    # blocks end inside lines and between the \r and \n of a CRLF end.
+    text = "".join(lines)
+    with mock.patch.object(pooledsim.designs, "_EDGE_LIST_BLOCK", block):
+        got = parse_outcome(read_edge_list, io.StringIO(text))
+    assert got == parse_outcome(read_edge_list_reference, io.StringIO(text))
 
 
 # What the sweep-config mutations insert or set.
