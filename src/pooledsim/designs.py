@@ -32,7 +32,8 @@ __all__ = [
 FAMILIES = ("bernoulli", "doubly_regular")
 
 _MAX_SWAP_FACTOR = 100
-_MAX_OVERLAY_FRACTION = 0.01  # swap repair rebuilds its pair index past this overlay share
+_MAX_TABLE_CELLS = 1 << 22  # swap repair looks pairs up in a bool table up to this n * m
+_MAX_OVERLAY_FRACTION = 0.01  # above that size, it rebuilds its pair overlay past this share
 _EDGE_LIST_CHUNK = 65_536  # edges per edge-list write, and items per block of a non-stream input
 _EDGE_LIST_BLOCK = 1 << 18  # characters per read of an edge-list stream
 
@@ -162,10 +163,13 @@ def generate(spec: DesignSpec, rng: np.random.Generator) -> PoolingGraph:
         keys *= spec.m
         keys += np.arange(spec.m, dtype=key)[:, None]
         keys = keys.reshape(-1)
-        if not spec.allow_multi:
-            keys.sort()  # the keys of a simple design are all distinct
+        keys.sort()  # a simple design's keys are all distinct, so this is canonical
     if spec.allow_multi:
-        keys, mult = np.unique(keys, return_counts=True)
+        dup = np.flatnonzero(keys[1:] == keys[:-1])  # keys[dup + 1] repeats keys[dup]
+        keys = np.delete(keys, dup + 1)
+        mult = np.ones(keys.size, dtype=np.int64)
+        # Repeat j counts once more for its run's kept key, which the deletions left at dup[j] - j.
+        np.add.at(mult, dup - np.arange(dup.size), 1)
     else:
         mult = np.ones(keys.size, dtype=np.int64)
     # Agent i's keys are [i * m, (i + 1) * m): split them at the n - 1 inner multiples of m.
@@ -266,19 +270,23 @@ def _doubly_regular_members(spec: DesignSpec, rng: np.random.Generator) -> np.nd
     return members
 
 
-def _clashes(values: np.ndarray, index: tuple[np.ndarray, ...] = ()) -> np.ndarray:
-    """Mask of the entries of ``values`` that repeat in it or that the overlay ``index`` holds.
+def _clashes(values: np.ndarray, index: np.ndarray | tuple[np.ndarray, ...] = ()) -> np.ndarray:
+    """Mask of the entries of ``values`` that repeat in it or that the pair ``index`` holds.
 
-    ``index`` is three sorted arrays ``(base, added, removed)``; a key counts
-    once per copy in ``base`` and ``added`` and minus once per copy in
-    ``removed``.  ``added`` and ``removed`` always have equal sizes: each
-    applied swap appends two made and two broken pairs, and a fold empties both.
+    ``index`` is either a bool table with one cell per key, set where the key
+    is held, or an overlay of three sorted arrays ``(base, added, removed)``
+    in which a key counts once per copy in ``base`` and ``added`` and minus
+    once per copy in ``removed``.  ``added`` and ``removed`` always have
+    equal sizes: each applied swap appends two made and two broken pairs, and
+    a fold empties both.
     """
     order = np.argsort(values)
     ordered = values[order]
     equal = np.concatenate([[False], ordered[1:] == ordered[:-1], [False]])  # to the left neighbour
     clash = equal[1:] | equal[:-1]
-    if index:
+    if isinstance(index, np.ndarray):
+        clash |= index[ordered]
+    elif index:
         base, added, removed = index
         found = np.searchsorted(base, ordered, "right") - np.searchsorted(base, ordered)
         if added.size:
@@ -303,20 +311,27 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
     ``members`` must be a C-contiguous int64 array, and stays one.  Flat slot
     ``i`` is query ``i // gamma``.  Surplus copies are the repeats of an agent
     within a row after the first in slot order, and they are repaired in
-    ``(agent * m + query, slot)`` order.  Pairs are counted in an overlay (see
-    :func:`_clashes`) that each batch's swaps extend, and whose base is
-    rebuilt from ``members`` once it passes ``_MAX_OVERLAY_FRACTION`` of it.
-    The pair keys (``query * n + agent`` in the overlay, ``agent * m + query``
-    for the repair order, ``agent * gamma + column`` for the row sort) are
-    uint32 while ``n * max(m, gamma) <= 2**32`` and int64 past it (see
+    ``(agent * m + query, slot)`` order.  The pair keys (``query * n + agent``
+    for the pair index, ``agent * m + query`` for the repair order,
+    ``agent * gamma + column`` for the row sort) are uint32 while
+    ``n * max(m, gamma) <= 2**32`` and int64 past it (see
     :func:`_key_dtype`); slot indices stay int64.
+
+    The pair index (see :func:`_clashes`) is chosen from ``n * m`` alone, and
+    both kinds give the same swaps.  Up to ``_MAX_TABLE_CELLS`` it is a bool
+    table of n * m cells, and a cell is set iff its pair has at least one
+    copy: each batch sets the pairs its swaps made, and clears a pair only
+    when a partner side broke its kept copy and none of its pending slots
+    survived the batch, so that the pair lost its last copy.  Past that it is
+    an overlay that each batch's swaps extend, and whose base is rebuilt from
+    ``members`` once it passes ``_MAX_OVERLAY_FRACTION`` of it.
 
     The pending slots keep one invariant: they are every copy but one of each
     repeated pair, those of one pair adjacent and in slot order.  A pending
     slot drawn as a partner is blocked as a shared slot, so an applied swap's
     partner side can break only a pair's one kept copy, and only one partner
     can draw that slot; that pair then drops its last surviving pending slot.
-    So the overlay is probed once per batch, and no pair is recounted.
+    So the index is probed once per batch, and no pair is recounted.
     """
     n_queries, gamma = members.shape
     agents = members.reshape(-1)  # a view: swaps write through to members
@@ -348,7 +363,13 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
     # sort by key gives the (agent * m + query, slot) order.
     pending = dup_slots[np.argsort(dup_keys, kind="stable")]
     empty = np.empty(0, dtype=key)
-    overlay = (index, empty, empty)
+    table = n_agents * n_queries <= _MAX_TABLE_CELLS
+    if table:
+        lookup = np.zeros(n_agents * n_queries, dtype=bool)
+        lookup[index] = True
+        del index
+    else:
+        lookup = (index, empty, empty)
 
     while pending.size:
         if attempts >= budget:
@@ -364,22 +385,26 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
         # made by another swap too, or when it shares a slot with another swap.
         # With u == v or a == b a new pair is the pending pair itself, which exists.
         probes = np.concatenate([b * n + u, a * n + v]).astype(key, copy=False)
-        blocked = _clashes(probes, overlay) | _clashes(np.concatenate([pending, partners]))
+        blocked = _clashes(probes, lookup) | _clashes(np.concatenate([pending, partners]))
         ok = ~blocked.reshape(2, -1).any(axis=0)
 
         applied = np.flatnonzero(ok)
         agents[pending[applied]] = v[applied]
         agents[partners[applied]] = u[applied]
-        base, added, removed = overlay
-        if added.size + 2 * applied.size > _MAX_OVERLAY_FRACTION * base.size:
-            base = members.astype(key)
-            base += row_keys
-            base.sort(axis=1)
-            overlay = (base.reshape(-1), empty, empty)
+        made = probes.reshape(2, -1)[:, applied]
+        if table:
+            lookup[made] = True
         else:
-            made = probes.reshape(2, -1)[:, applied]
-            broken = np.stack([a * n + u, b * n + v])[:, applied].astype(key, copy=False)
-            overlay = (base, np.sort(np.append(added, made)), np.sort(np.append(removed, broken)))
+            base, added, removed = lookup
+            if added.size + 2 * applied.size > _MAX_OVERLAY_FRACTION * base.size:
+                base = members.astype(key)
+                base += row_keys
+                base.sort(axis=1)
+                lookup = (base.reshape(-1), empty, empty)
+            else:
+                broken = np.stack([a * n + u, b * n + v])[:, applied].astype(key, copy=False)
+                added, removed = np.sort(np.append(added, made)), np.sort(np.append(removed, broken))
+                lookup = (base, added, removed)
 
         # A rejected slot kept its agent, so the survivors keep the invariant's
         # order once each pair a partner side broke drops its last survivor.
@@ -388,7 +413,11 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
             pending_keys = agents[pending] * m + pending // gamma  # sorted, by the invariant
             hit = np.sort(v[applied] * m + b[applied])  # sorted needles search faster
             last = np.searchsorted(pending_keys, hit, side="right") - 1
-            pending = np.delete(pending, last[pending_keys[last] == hit])
+            survived = pending_keys[last] == hit
+            pending = np.delete(pending, last[survived])
+            if table:  # a broken kept copy with no survivor was its pair's last copy
+                lost_agents, lost_queries = np.divmod(hit[~survived], m)
+                lookup[lost_queries * n + lost_agents] = False
 
     return members
 

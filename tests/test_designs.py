@@ -378,16 +378,32 @@ def repair_outcome(repair, seed):
     return out, rng.bit_generator.state
 
 
-def assert_repairs_agree(members, n, seed):
+def pair_indexes(monkeypatch, n, m):
+    """Force swap repair onto each pair index that ``n * m`` can use, one at a time.
+
+    The size limit is patched to ``n * m`` (the bool table, where ``n * m``
+    fits the limit in force) and then to ``n * m - 1`` (the sorted overlay),
+    and is put back to the limit in force after the last one.
+    """
+    in_force = pooledsim.designs._MAX_TABLE_CELLS
+    limits = [n * m, n * m - 1] if n * m <= in_force else [n * m - 1]
+    for limit in limits:
+        monkeypatch.setattr(pooledsim.designs, "_MAX_TABLE_CELLS", limit)
+        yield
+    monkeypatch.setattr(pooledsim.designs, "_MAX_TABLE_CELLS", in_force)
+
+
+def assert_repairs_agree(monkeypatch, members, n, seed):
     m, gamma = members.shape
-    fast = repair_outcome(
-        lambda rng: pooledsim.designs._repair_slots(members.copy(), n, rng), seed
-    )
     slot_query = np.repeat(np.arange(m, dtype=np.int64), gamma)
     slow = repair_outcome(
         lambda rng: repair_slots_reference(members.ravel(), slot_query, m, rng), seed
     )
-    assert fast == slow
+    for _ in pair_indexes(monkeypatch, n, m):
+        fast = repair_outcome(
+            lambda rng: pooledsim.designs._repair_slots(members.copy(), n, rng), seed
+        )
+        assert fast == slow
 
 
 @pytest.mark.parametrize(
@@ -400,16 +416,16 @@ def assert_repairs_agree(members, n, seed):
         (8, 6, 6, 20),  # gamma = 3n/4: dense rows
         (40, 30, 30, 10),
         (1000, 300, 100, 3),  # the figure point
-        (10**4, 1000, 500, 2),
+        (10**4, 1000, 500, 2),  # past the table size: the overlay only, as below
         (10**4, 5938, 500, 2),  # the soundness point: a batch rewrites nearly every row
         (65_536, 65_536, 4, 3),  # n * m = 2**32: uint32 keys up to 2**32 - 1
         (65_536, 65_537, 4, 3),  # n * m just past 2**32: int64 keys
         (131_072, 9, 32_769, 1),  # n * gamma alone past 2**32: int64 keys
     ],
 )
-def test_repair_slots_matches_reference(n, m, gamma, seeds):
+def test_repair_slots_matches_reference(monkeypatch, n, m, gamma, seeds):
     for seed in range(seeds):
-        assert_repairs_agree(shuffled_members(n, m, gamma, seed), n, seed + 10**6)
+        assert_repairs_agree(monkeypatch, shuffled_members(n, m, gamma, seed), n, seed + 10**6)
 
 
 @pytest.mark.parametrize("fraction", [0.0, math.inf], ids=["fold-every-batch", "never-fold"])
@@ -417,8 +433,9 @@ def test_repair_slots_matches_reference(n, m, gamma, seeds):
 def test_repair_slots_matches_reference_whether_the_overlay_folds(
     monkeypatch, fraction, n, m, gamma, seeds
 ):
+    monkeypatch.setattr(pooledsim.designs, "_MAX_TABLE_CELLS", 0)  # the overlay at any size
     monkeypatch.setattr(pooledsim.designs, "_MAX_OVERLAY_FRACTION", fraction)
-    test_repair_slots_matches_reference(n, m, gamma, seeds)
+    test_repair_slots_matches_reference(monkeypatch, n, m, gamma, seeds)
 
 
 def test_repair_slots_matches_reference_when_budget_is_spent(monkeypatch):
@@ -426,7 +443,7 @@ def test_repair_slots_matches_reference_when_budget_is_spent(monkeypatch):
     members = shuffled_members(40, 30, 30, 5)
     with pytest.raises(SimplificationError):
         pooledsim.designs._repair_slots(members.copy(), 40, np.random.default_rng(0))
-    assert_repairs_agree(members, 40, 0)
+    assert_repairs_agree(monkeypatch, members, 40, 0)
 
 
 @pytest.mark.parametrize(
@@ -436,13 +453,13 @@ def test_repair_slots_matches_reference_when_budget_is_spent(monkeypatch):
         (3, [[0, 0], [0, 1]]),  # agent 0 has three edges but only two queries exist
     ],
 )
-def test_repair_slots_matches_reference_on_infeasible_input(n, members):
+def test_repair_slots_matches_reference_on_infeasible_input(monkeypatch, n, members):
     # Neither path checks the precondition: both spend the budget, then raise.
     members = np.array(members, dtype=np.int64)
     with pytest.raises(SimplificationError):
         pooledsim.designs._repair_slots(members.copy(), n, np.random.default_rng(0))
     for seed in range(5):
-        assert_repairs_agree(members, n, seed)
+        assert_repairs_agree(monkeypatch, members, n, seed)
 
 
 def test_generate_doubly_regular_simple_variant_is_simple():
@@ -544,6 +561,11 @@ def test_clashes_match_a_counter():
             assert overlay[1].size == overlay[2].size
             want = clashes_reference(values.tolist(), [part.tolist() for part in overlay])
             assert clashes(values, overlay).tolist() == want
+            # The same pairs as a bool table: a cell is set iff its key counts above 0.
+            counts = np.zeros(high, dtype=np.int64)
+            for part, step in zip(overlay, (1, 1, -1)):
+                np.add.at(counts, part.astype(np.int64), step)
+            assert clashes(values, counts > 0).tolist() == want
 
 
 # ----------------------------------------------------------- distinct degrees
