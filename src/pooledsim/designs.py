@@ -12,8 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -34,7 +33,7 @@ FAMILIES = ("bernoulli", "doubly_regular")
 _MAX_SWAP_FACTOR = 100
 _MAX_TABLE_CELLS = 1 << 22  # swap repair looks pairs up in a bool table up to this n * m
 _MAX_OVERLAY_FRACTION = 0.01  # above that size, it rebuilds its pair overlay past this share
-_EDGE_LIST_CHUNK = 65_536  # edges per edge-list write, and items per block of a non-stream input
+_EDGE_LIST_CHUNK = 65_536  # edges per edge-list write
 _EDGE_LIST_BLOCK = 1 << 18  # characters per read of an edge-list stream
 
 
@@ -465,22 +464,17 @@ def _edge_lines(columns: list[np.ndarray]) -> str:
     return cells[keep].tobytes().decode("ascii")
 
 
-def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
-    """Parse the canonical edge-list format back into a spec and graph.
+def read_edge_list(stream: IO[str]) -> tuple[DesignSpec, PoolingGraph]:
+    """Parse the canonical edge-list format from a text stream into a spec and graph.
 
-    A text stream (an object with ``read``) gives its header by ``readline``
-    and its body by ``read`` in blocks of ``_EDGE_LIST_BLOCK`` characters,
-    split into lines at ``\\n`` only.  Any other iterable gives one line per
-    item.  Leading and trailing whitespace of a line is ignored, so CRLF ends
-    and blank or whitespace-only lines are accepted; any other departure from
+    The header comes by ``readline`` and the body by ``read`` in blocks of
+    ``_EDGE_LIST_BLOCK`` characters, split into lines at ``\\n`` only.
+    Leading and trailing whitespace of a line is ignored, so CRLF ends and
+    blank or whitespace-only lines are accepted; any other departure from
     what :func:`write_edge_list` writes raises ValueError.
     """
-    if hasattr(lines, "read"):
-        header, blocks = lines.readline() or None, _read_blocks(lines)
-    else:
-        lines = iter(lines)
-        header, blocks = next(lines, None), _join_blocks(lines)
-    if header is None:
+    header = stream.readline()
+    if not header:
         raise ValueError("empty edge-list input")
     fields = header.split()
     sizes = _rows(" ".join(fields[:3])) if len(fields) == 5 else None  # the body's integers
@@ -495,7 +489,7 @@ def read_edge_list(lines: Iterable[str]) -> tuple[DesignSpec, PoolingGraph]:
     broken = [None] * 6  # the message of each rule's first break, in rule order
     parts = [np.empty((3, 0), dtype=np.int64)]
     line = 2  # file line of the block's first line
-    for block in blocks:
+    for block in _read_blocks(stream):
         rows = _rows(block)
         if rows is None:
             # Each line parses or not on its own, so bisect: texts[lo:hi] holds the first bad line.
@@ -586,20 +580,6 @@ def _read_blocks(stream: IO[str]) -> Iterator[str]:
             yield text[:cut]
     if rest:
         yield rest
-
-
-def _join_blocks(items: Iterator[str]) -> Iterator[str]:
-    """Blocks of ``_EDGE_LIST_CHUNK`` stripped items, one line each.
-
-    An item's inner ``\\n`` becomes a ``\\r``, so that the item stays one
-    line and fails to parse like any other line with an inner ``\\r``.
-    """
-    while chunk := list(map(str.strip, islice(items, _EDGE_LIST_CHUNK))):
-        chunk.append("")  # the block's last line ends at a \n too
-        text = "\n".join(chunk)
-        if text.count("\n") >= len(chunk):
-            text = "\n".join(item.replace("\n", "\r") for item in chunk)
-        yield text
 
 
 def _rows(text: str) -> np.ndarray | None:

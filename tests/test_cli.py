@@ -74,9 +74,9 @@ def test_generate_deterministic_bytes_and_round_trip(tmp_path):
     assert main(args + ["--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
-    text = first.read_text()
-    assert text.splitlines()[0] == "4 2 2 doubly_regular false"
-    spec, graph = read_edge_list(text.splitlines())
+    assert first.read_text().splitlines()[0] == "4 2 2 doubly_regular false"
+    with open(first, encoding="utf-8") as stream:
+        spec, graph = read_edge_list(stream)
     assert spec.n == 4 and spec.m == 2 and spec.gamma == 2
     assert int(graph.edge_mult.sum()) == 4
 

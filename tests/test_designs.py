@@ -439,11 +439,24 @@ def test_repair_slots_matches_reference_whether_the_overlay_folds(
 
 
 def test_repair_slots_matches_reference_when_budget_is_spent(monkeypatch):
-    monkeypatch.setattr(pooledsim.designs, "_MAX_SWAP_FACTOR", 0)
-    members = shuffled_members(40, 30, 30, 5)
-    with pytest.raises(SimplificationError):
-        pooledsim.designs._repair_slots(members.copy(), 40, np.random.default_rng(0))
-    assert_repairs_agree(monkeypatch, members, 40, 0)
+    # A budget of 0 swaps is spent before the first batch; one of 2 * m * gamma
+    # swaps only after several batches have probed and updated the pair index.
+    clashes, calls = pooledsim.designs._clashes, []
+
+    def counted(*args):
+        calls.append(args)
+        return clashes(*args)
+
+    monkeypatch.setattr(pooledsim.designs, "_clashes", counted)
+    for factor, batches, seeds in [(0, 0, [5]), (2, 3, range(20))]:
+        monkeypatch.setattr(pooledsim.designs, "_MAX_SWAP_FACTOR", factor)
+        for seed in seeds:
+            members = shuffled_members(40, 30, 30, seed)
+            calls.clear()
+            with pytest.raises(SimplificationError):
+                pooledsim.designs._repair_slots(members.copy(), 40, np.random.default_rng(seed))
+            assert len(calls) >= 2 * batches  # two calls per batch
+            assert_repairs_agree(monkeypatch, members, 40, seed)
 
 
 @pytest.mark.parametrize(
@@ -610,7 +623,7 @@ def test_edge_list_round_trip_and_header():
     assert same_graph(graph_back, graph)
 
     # a header-only file is a Bernoulli design without edges
-    spec_back, graph_back = read_edge_list(["3 2 1 bernoulli false"])
+    spec_back, graph_back = read_edge_list(io.StringIO("3 2 1 bernoulli false"))
     assert spec_back == DesignSpec(n=3, m=2, gamma=1, family="bernoulli")
     assert graph_back.edge_mult.dtype == np.int64
     assert graph_back.agent_degrees.tolist() == [0, 0, 0]
@@ -627,14 +640,14 @@ def test_edge_list_round_trip_with_multiplicities():
         io.StringIO(text),
         io.StringIO(blank),
         io.StringIO(text.replace("\n", "\r\n")),  # CRLF line ends
-        blank.splitlines(),  # lines without terminators, one of them blank
+        io.StringIO(blank.rstrip("\n")),  # the last line without its end
         # lines of Unicode whitespace only: NBSP, form feed, vertical tab, U+3000, U+2028
         *(io.StringIO(text.replace("\n", f"\n{space}\n", 2)) for space in "\xa0\f\v\u3000\u2028"),
         io.StringIO(text.replace("\n", "\r\n\r\n", 3)),  # CRLF blank lines
         io.StringIO(text[:first_edge_end] + "\xa0" + text[first_edge_end:]),  # NBSP after a triple
     ]
-    for lines in inputs:
-        spec_back, graph_back = read_edge_list(lines)
+    for stream in inputs:
+        spec_back, graph_back = read_edge_list(stream)
         assert spec_back.allow_multi
         assert same_graph(graph_back, graph)
         assert not graph_back.edge_mult.flags.writeable
@@ -704,20 +717,25 @@ def test_write_edge_list_crosses_a_chunk_boundary():
     assert len(writes) == 3  # the header and two chunks
 
 
+def lines_stream(*lines):
+    """A text stream of ``lines``, each given without its end."""
+    return io.StringIO("\n".join(lines))
+
+
 def test_read_edge_list_skips_blank_lines_without_warnings():
     # Under warnings-as-errors numpy must not warn about the blank lines, and a
     # bad line after blank ones is still reported by its line in the file.
     body = ["0 0 1", "", "  ", "1 0 1", "\t", "2 1 1", ""]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, graph = read_edge_list(["3 2 1 bernoulli false", *body])
+        _, graph = read_edge_list(lines_stream("3 2 1 bernoulli false", *body))
         assert graph.edge_agents.tolist() == [0, 1, 2]
         assert graph.edge_queries.tolist() == [0, 0, 1]
         for bad, message in [("2 x 1", "expected an integer"), ("2 5 1", r"query outside 0\.\.1")]:
             lines = ["3 2 1 bernoulli false", *body[:5], bad, *body[6:]]
             with pytest.raises(ValueError, match=f"^line 7: {message}"):
-                read_edge_list(lines)
-        _, graph = read_edge_list(["3 2 1 bernoulli false", "", " "])
+                read_edge_list(lines_stream(*lines))
+        _, graph = read_edge_list(lines_stream("3 2 1 bernoulli false", "", " "))
         assert len(graph.edge_mult) == 0
 
 
@@ -786,8 +804,8 @@ def test_edge_list_rejects_malformed_header(text, message):
 
 # Body lines of a valid 4-agent, 3-query file; None marks a blank line.
 LOCATOR_BODY = ["0 0 1", None, "0 2 1", "1 1 1", "  ", "2 0 1", None, None, "3 1 1", "3 2 1"]
-# More than one 65,536-line parse chunk (agents 0..3, each in queries 0..16999),
-# with blank lines on both sides of the chunk boundary.
+# About 600,000 characters, more than two 2**18-character read blocks
+# (agents 0..3, each in queries 0..16999), with blank lines among them.
 LONG_LOCATOR_BODY = [f"{agent} {query} 1" for agent in range(4) for query in range(17_000)]
 LONG_LOCATOR_BODY[65_533:65_533] = ["", "  ", ""]  # body lines 65,533..65,535
 LONG_LOCATOR_BODY[65_537:65_537] = ["", "\t"]  # body lines 65,537 and 65,538
@@ -817,7 +835,7 @@ def assert_locates_each_bad_short_line(field, message):
 def test_edge_list_locates_each_bad_line(field, message):
     assert_locates_each_bad_short_line(field, message)
 
-    # The long body takes the bisection deeper, and into the second chunk.
+    # The long body takes the bisection deeper, and into the later blocks.
     for target in (0, 4321, 65_536, 65_539, len(LONG_LOCATOR_BODY) - 1):
         body = list(LONG_LOCATOR_BODY)
         body[target] = f"{field} {body[target].split(' ', 1)[1]}"
@@ -826,12 +844,11 @@ def test_edge_list_locates_each_bad_line(field, message):
             read_edge_list(io.StringIO(text))
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_edge_list_locates_bad_lines_at_chunk_edges(monkeypatch, chunk):
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_edge_list_locates_bad_lines_at_chunk_edges(monkeypatch, block):
     # Stream reads of 1 to 3 characters put every body line and every blank
     # line on a block edge, and split the lines themselves.
-    monkeypatch.setattr(pooledsim.designs, "_EDGE_LIST_CHUNK", chunk)
-    monkeypatch.setattr(pooledsim.designs, "_EDGE_LIST_BLOCK", chunk)
+    monkeypatch.setattr(pooledsim.designs, "_EDGE_LIST_BLOCK", block)
     for field, message in LOCATOR_FIELDS:
         assert_locates_each_bad_short_line(field, message)
     kept = [i for i, line in enumerate(LOCATOR_BODY) if line and line.strip()]
@@ -897,15 +914,34 @@ def test_edge_list_stream_lines_end_at_newline_only():
     assert spec == DesignSpec(2, 1, 2, "doubly_regular", True)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_edge_list_files_read_alike_whatever_their_line_ends(tmp_path, end):
+    # A file opened in default text mode turns LF, CRLF and lone CR ends into \n.
+    spec = DesignSpec(60, 40, 30, "doubly_regular", True)
+    graph = generate(spec, np.random.default_rng(4))
+    path = tmp_path / "design.edges"
+    with open(path, "w", encoding="utf-8", newline=end) as stream:
+        write_edge_list(stream, graph, spec.family, spec.allow_multi)
+    text = path.read_bytes().decode("utf-8")
+    assert text.count(end) == len(graph.edge_mult) + 1
+    with open(path, encoding="utf-8") as stream:
+        spec_back, graph_back = read_edge_list(stream)
+    assert spec_back == spec
+    assert same_graph(graph_back, graph)
+    columns = (graph.edge_agents, graph.edge_queries, graph.edge_mult)
+    triples = list(zip(*(col.tolist() for col in columns)))
+    assert read_edge_list_reference(io.StringIO(text.replace(end, "\n"))) == (spec, triples)
+
+
 def test_edge_list_degrees_are_exact_int64():
     above_2_53 = 2**53 + 1
     with pytest.raises(ValueError, match=f"has degree {above_2_53}, expected gamma=1$"):
-        read_edge_list(["1 1 1 doubly_regular true", f"0 0 {above_2_53}"])
+        read_edge_list(lines_stream("1 1 1 doubly_regular true", f"0 0 {above_2_53}"))
 
     top = np.iinfo(np.int64).max
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, graph = read_edge_list([f"1 1 {top} doubly_regular true", f"0 0 {top}"])
+        _, graph = read_edge_list(lines_stream(f"1 1 {top} doubly_regular true", f"0 0 {top}"))
     assert graph.query_degrees.tolist() == [top]
     assert graph.agent_degrees.tolist() == [top]
     assert graph.distinct_agent_degrees.tolist() == [1]
@@ -914,7 +950,9 @@ def test_edge_list_degrees_are_exact_int64():
 def test_one_bit_read_counts_are_exact_int64():
     # Float64 counts would round 2**53 + 1 down to the member sum's neighbour.
     above_2_53 = 2**53 + 1
-    _, graph = read_edge_list([f"1 1 {above_2_53} doubly_regular true", f"0 0 {above_2_53}"])
+    _, graph = read_edge_list(
+        lines_stream(f"1 1 {above_2_53} doubly_regular true", f"0 0 {above_2_53}")
+    )
     rng = np.random.default_rng(0)
     outcomes = run_queries(graph, GroundTruth(np.ones(1)), ChannelMatrix.identity(), rng)
     assert outcomes.results.tolist() == graph.query_degrees.tolist() == [above_2_53]
@@ -939,7 +977,7 @@ THIRD = 6148914691236517206  # 3 * THIRD = 2**64 + 2
 def test_edge_list_rejects_degrees_beyond_int64_like_the_reference(lines, message):
     for parse in (read_edge_list, read_edge_list_reference):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            parse(lines)
+            parse(lines_stream(*lines))
 
 
 def test_edge_list_agent_degrees_survive_a_wrapping_running_sum():
@@ -949,7 +987,7 @@ def test_edge_list_agent_degrees_survive_a_wrapping_running_sum():
     lines = [f"3 3 {top} doubly_regular true", f"0 0 {top}", f"1 2 {top}", f"2 1 {top}"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, graph = read_edge_list(lines)
+        _, graph = read_edge_list(lines_stream(*lines))
         assert graph.agent_degrees.tolist() == [top, top, top]
         assert graph.distinct_agent_degrees.tolist() == [1, 1, 1]
 

@@ -63,7 +63,7 @@ def test_edge_list_round_trip_every_variant(spec, seed):
 
 # What the edge-list mutations insert.  Line 0 is the header, whose integers
 # must follow the body's rule.
-BLANKS = ["\n", "", "  \n", "\t\n", "\r\n", " \r\n", "\xa0\n", "\u3000\n", "\u2028\n"]
+BLANKS = ["\n", "  \n", "\t\n", "\r\n", " \r\n", "\xa0\n", "\u3000\n", "\u2028\n"]
 SEPARATORS = ["\xa0", "\t", "  ", "\u2028", "\x1c", "\x0b", ",", "_", "\n", "\r"]
 TRAILS = [" ", "\xa0", "\u2028", "\r", " #", "#", " 1", ".0", "\x85"]
 FOREIGN_DIGITS = [
@@ -129,8 +129,6 @@ def mutate(lines: list[str], kind: str, at: int, to: int, choice: int) -> list[s
     elif kind == "trail":
         text = lines[at].rstrip("\r\n")
         lines[at] = text + TRAILS[choice % len(TRAILS)] + lines[at][len(text) :]
-    elif kind == "merge" and at + 1 < len(lines):
-        lines[at : at + 2] = [lines[at] + lines[at + 1]]
     return lines
 
 
@@ -142,7 +140,7 @@ def mutated_edge_lists(draw):
     write_edge_list(buf, graph, spec.family, spec.allow_multi)
     lines = buf.getvalue().splitlines(keepends=True)
     kinds = ["blank", "crlf", "swap", "repeat", "delete", "bump", "spell", "spell-header", "header",
-             "separator", "trail", "merge"]
+             "separator", "trail"]
     mutations = st.tuples(
         st.sampled_from(kinds), st.integers(0, 63), st.integers(0, 63), st.integers(0, 399)
     )
@@ -151,10 +149,10 @@ def mutated_edge_lists(draw):
     return lines
 
 
-def parse_outcome(parse, lines):
+def parse_outcome(parse, stream):
     """``(spec, triples)`` of an accepted edge list, or the message it is rejected with."""
     try:
-        spec, graph = parse(iter(lines))
+        spec, graph = parse(stream)
     except ValueError as err:
         return str(err)
     if isinstance(graph, list):
@@ -164,13 +162,9 @@ def parse_outcome(parse, lines):
 
 
 @settings(reproducible, max_examples=500)
-@given(lines=mutated_edge_lists(), chunk=st.integers(1, 3), block=st.integers(1, 8))
-def test_read_edge_list_matches_reference_parser(lines, chunk, block):
-    # Chunks of 1 to 3 lines put the mutations on chunk edges.
-    with mock.patch.object(pooledsim.designs, "_EDGE_LIST_CHUNK", chunk):
-        got = parse_outcome(read_edge_list, lines)
-    assert got == parse_outcome(read_edge_list_reference, lines)
-    # The same text as a stream, read a few characters at a time, so that
+@given(lines=mutated_edge_lists(), block=st.integers(1, 8))
+def test_read_edge_list_matches_reference_parser(lines, block):
+    # The text as a stream, read a few characters at a time, so that
     # blocks end inside lines and between the \r and \n of a CRLF end.
     text = "".join(lines)
     with mock.patch.object(pooledsim.designs, "_EDGE_LIST_BLOCK", block):
