@@ -32,7 +32,6 @@ FAMILIES = ("bernoulli", "doubly_regular")
 
 _MAX_SWAP_FACTOR = 100
 _MAX_TABLE_CELLS = 1 << 22  # swap repair looks pairs up in a bool table up to this n * m
-_MAX_OVERLAY_FRACTION = 0.01  # above that size, it rebuilds its pair overlay past this share
 _EDGE_LIST_CHUNK = 65_536  # edges per edge-list write
 _EDGE_LIST_BLOCK = 1 << 18  # characters per read of an edge-list stream
 
@@ -273,11 +272,9 @@ def _clashes(values: np.ndarray, index: np.ndarray | tuple[np.ndarray, ...] = ()
     """Mask of the entries of ``values`` that repeat in it or that the pair ``index`` holds.
 
     ``index`` is either a bool table with one cell per key, set where the key
-    is held, or an overlay of three sorted arrays ``(base, added, removed)``
-    in which a key counts once per copy in ``base`` and ``added`` and minus
-    once per copy in ``removed``.  ``added`` and ``removed`` always have
-    equal sizes: each applied swap appends two made and two broken pairs, and
-    a fold empties both.
+    is held, or an overlay ``(base, alive, added)`` of sorted distinct keys,
+    ``base`` not empty: a key is held if it is in ``base`` with its ``alive``
+    bool set, or if it is in ``added``.
     """
     order = np.argsort(values)
     ordered = values[order]
@@ -286,12 +283,11 @@ def _clashes(values: np.ndarray, index: np.ndarray | tuple[np.ndarray, ...] = ()
     if isinstance(index, np.ndarray):
         clash |= index[ordered]
     elif index:
-        base, added, removed = index
-        found = np.searchsorted(base, ordered, "right") - np.searchsorted(base, ordered)
+        base, alive, added = index
+        at = np.searchsorted(base, ordered, "right") - 1  # -1 reads base[-1], a larger key
+        clash |= (base[at] == ordered) & alive[at]
         if added.size:
-            found += np.searchsorted(added, ordered, "right") - np.searchsorted(added, ordered)
-            found -= np.searchsorted(removed, ordered, "right") - np.searchsorted(removed, ordered)
-        clash |= found > 0
+            clash |= added[np.searchsorted(added, ordered, "right") - 1] == ordered
     mask = np.empty(values.size, dtype=bool)
     mask[order] = clash
     return mask
@@ -318,12 +314,12 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
 
     The pair index (see :func:`_clashes`) is chosen from ``n * m`` alone, and
     both kinds give the same swaps.  Up to ``_MAX_TABLE_CELLS`` it is a bool
-    table of n * m cells, and a cell is set iff its pair has at least one
-    copy: each batch sets the pairs its swaps made, and clears a pair only
-    when a partner side broke its kept copy and none of its pending slots
-    survived the batch, so that the pair lost its last copy.  Past that it is
-    an overlay that each batch's swaps extend, and whose base is rebuilt from
-    ``members`` once it passes ``_MAX_OVERLAY_FRACTION`` of it.
+    table of n * m cells; past that it is an overlay of the distinct pairs
+    at set-up, each with an alive flag, and the pairs made since.  Either
+    way a pair is held iff it has at least one copy: each batch adds the
+    pairs its swaps made, and drops a pair only when a partner side broke
+    its kept copy and none of its pending slots survived the batch, so that
+    the pair lost its last copy.
 
     The pending slots keep one invariant: they are every copy but one of each
     repeated pair, those of one pair adjacent and in slot order.  A pending
@@ -361,14 +357,14 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
     # order, so dup_slots already lists equal keys in slot order and a stable
     # sort by key gives the (agent * m + query, slot) order.
     pending = dup_slots[np.argsort(dup_keys, kind="stable")]
-    empty = np.empty(0, dtype=key)
     table = n_agents * n_queries <= _MAX_TABLE_CELLS
     if table:
         lookup = np.zeros(n_agents * n_queries, dtype=bool)
         lookup[index] = True
-        del index
     else:
-        lookup = (index, empty, empty)
+        base = np.delete(index, dup)
+        lookup = (base, np.ones(base.size, dtype=bool), np.empty(0, dtype=key))
+    del index
 
     while pending.size:
         if attempts >= budget:
@@ -390,20 +386,6 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
         applied = np.flatnonzero(ok)
         agents[pending[applied]] = v[applied]
         agents[partners[applied]] = u[applied]
-        made = probes.reshape(2, -1)[:, applied]
-        if table:
-            lookup[made] = True
-        else:
-            base, added, removed = lookup
-            if added.size + 2 * applied.size > _MAX_OVERLAY_FRACTION * base.size:
-                base = members.astype(key)
-                base += row_keys
-                base.sort(axis=1)
-                lookup = (base.reshape(-1), empty, empty)
-            else:
-                broken = np.stack([a * n + u, b * n + v])[:, applied].astype(key, copy=False)
-                added, removed = np.sort(np.append(added, made)), np.sort(np.append(removed, broken))
-                lookup = (base, added, removed)
 
         # A rejected slot kept its agent, so the survivors keep the invariant's
         # order once each pair a partner side broke drops its last survivor.
@@ -414,9 +396,20 @@ def _repair_slots(members: np.ndarray, n_agents: int, rng: np.random.Generator) 
             last = np.searchsorted(pending_keys, hit, side="right") - 1
             survived = pending_keys[last] == hit
             pending = np.delete(pending, last[survived])
-            if table:  # a broken kept copy with no survivor was its pair's last copy
-                lost_agents, lost_queries = np.divmod(hit[~survived], m)
-                lookup[lost_queries * n + lost_agents] = False
+            # A broken kept copy with no survivor was its pair's last copy.
+            made = probes.reshape(2, -1)[:, applied]
+            lost_agents, lost_queries = np.divmod(hit[~survived], m)
+            lost = np.sort((lost_queries * n + lost_agents).astype(key, copy=False))
+            if table:
+                lookup[made] = True
+                lookup[lost] = False
+            else:
+                base, alive, added = lookup
+                added = np.sort(np.append(added, made))
+                at = np.searchsorted(added, lost, "right") - 1
+                found = added[at] == lost
+                alive[np.searchsorted(base, lost[~found])] = False
+                lookup = (base, alive, np.delete(added, at[found]))
 
     return members
 

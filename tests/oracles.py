@@ -550,18 +550,17 @@ def regenerated_score_samples(seed: int, samples: int):
 
 
 def clashes_reference(values, index=()) -> list[bool]:
-    """Per value: does it occur twice in ``values``, or count above 0 in the overlay ``index``?
+    """Per value: does it occur twice in ``values``, or is it held by the overlay ``index``?
 
-    ``index`` is ``(base, added, removed)``: a key's count is its copies in
-    ``base`` and ``added`` less its copies in ``removed``, tallied by Counter.
+    ``index`` is ``(base, alive, added)``: the held keys are those of
+    ``base`` whose ``alive`` flag is set, and all those of ``added``.
     """
     seen = Counter(values)
-    held: Counter = Counter()
+    held = set()
     if index:
-        base, added, removed = (list(part) for part in index)
-        held.update(base + added)
-        held.subtract(removed)
-    return [seen[value] > 1 or held[value] > 0 for value in values]
+        base, alive, added = index
+        held = {key for key, on in zip(base, alive) if on} | set(added)
+    return [seen[value] > 1 or value in held for value in values]
 
 
 def _multiset_counts(base_sorted: np.ndarray, delta: dict[int, int], keys: np.ndarray) -> np.ndarray:

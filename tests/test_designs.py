@@ -428,16 +428,6 @@ def test_repair_slots_matches_reference(monkeypatch, n, m, gamma, seeds):
         assert_repairs_agree(monkeypatch, shuffled_members(n, m, gamma, seed), n, seed + 10**6)
 
 
-@pytest.mark.parametrize("fraction", [0.0, math.inf], ids=["fold-every-batch", "never-fold"])
-@pytest.mark.parametrize("n, m, gamma, seeds", [(8, 6, 6, 20), (40, 30, 30, 10)])
-def test_repair_slots_matches_reference_whether_the_overlay_folds(
-    monkeypatch, fraction, n, m, gamma, seeds
-):
-    monkeypatch.setattr(pooledsim.designs, "_MAX_TABLE_CELLS", 0)  # the overlay at any size
-    monkeypatch.setattr(pooledsim.designs, "_MAX_OVERLAY_FRACTION", fraction)
-    test_repair_slots_matches_reference(monkeypatch, n, m, gamma, seeds)
-
-
 def test_repair_slots_matches_reference_when_budget_is_spent(monkeypatch):
     # A budget of 0 swaps is spent before the first batch; one of 2 * m * gamma
     # swaps only after several batches have probed and updated the pair index.
@@ -547,14 +537,10 @@ def test_multi_generate_counts_like_unique(family, n, m, gamma):
 
 
 def random_overlay(rng, high, dtype):
-    """A sorted ``(base, added, removed)`` overlay as the swap repair keeps it.
-
-    ``removed`` is a sub-multiset of ``base + added``, and as long as ``added``.
-    """
-    base = rng.integers(0, high, int(rng.integers(0, 30)))
-    added = rng.integers(0, high, int(rng.integers(0, 30)))
-    removed = rng.choice(np.concatenate([base, added]), size=added.size, replace=False)
-    return tuple(np.sort(part).astype(dtype) for part in (base, added, removed))
+    """A ``(base, alive, added)`` overlay of sorted distinct keys below ``high``, ``base`` not empty."""
+    base = np.sort(rng.choice(high, int(rng.integers(1, high + 1)), replace=False))
+    added = np.sort(rng.choice(high, int(rng.integers(0, high + 1)), replace=False))
+    return base.astype(dtype), rng.random(base.size) < 0.5, added.astype(dtype)
 
 
 def test_clashes_match_a_counter():
@@ -568,17 +554,15 @@ def test_clashes_match_a_counter():
         for trial in range(300):
             high = int(rng.integers(1, 40))
             values = rng.integers(0, high, int(rng.integers(1, 30))).astype(dtype)
-            overlay = random_overlay(rng, high, dtype)
-            if trial % 5 == 0:  # as right after a fold
-                overlay = (overlay[0], empty, empty)
-            assert overlay[1].size == overlay[2].size
-            want = clashes_reference(values.tolist(), [part.tolist() for part in overlay])
-            assert clashes(values, overlay).tolist() == want
-            # The same pairs as a bool table: a cell is set iff its key counts above 0.
-            counts = np.zeros(high, dtype=np.int64)
-            for part, step in zip(overlay, (1, 1, -1)):
-                np.add.at(counts, part.astype(np.int64), step)
-            assert clashes(values, counts > 0).tolist() == want
+            base, alive, added = random_overlay(rng, high, dtype)
+            if trial % 5 == 0:  # as at set-up
+                alive, added = np.ones(base.size, dtype=bool), empty
+            want = clashes_reference(values.tolist(), (base.tolist(), alive.tolist(), added.tolist()))
+            assert clashes(values, (base, alive, added)).tolist() == want
+            # The same pairs as a bool table: a cell is set iff its key is held.
+            table = np.zeros(high, dtype=bool)
+            table[base[alive]] = table[added] = True
+            assert clashes(values, table).tolist() == want
 
 
 # ----------------------------------------------------------- distinct degrees

@@ -172,3 +172,19 @@ def test_every_name_the_benchmark_imports_resolves():
                 break
             obj = getattr(obj, attr)
     assert missing == [], "names the benchmark takes from pooledsim that do not exist"
+
+
+def test_every_module_constant_is_read_in_src():
+    used = _src_references()
+    constants = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants += [
+                    f"{path.stem}.{name.id}" for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id)
+                ]
+    assert len(constants) >= 10
+    unread = [constant for constant in constants if constant.split(".")[1] not in used]
+    assert unread == [], "module-level constants that no code in src/ reads"
